@@ -54,10 +54,13 @@
 //! on: every scale is a power of two, so a block factors into an exact
 //! integer-valued (or exactly-representable) f32 *lane* times one
 //! power-of-two scale per block, and `fl(a·(lane·2^s)) =
-//! fl((a·2^s)·lane)`. [`algebra_quantize_slice`] and the packed encoder
-//! share a single internal `encode_chunk` routine, so packing a
-//! quantised matrix is the identity and the self-verify fallback never
-//! fires on honest input.
+//! fl((a·2^s)·lane)`. The packed encoder stores the codes of a single
+//! internal `encode_chunk` routine. [`algebra_quantize_slice`] decodes
+//! those same codes for MX and block minifloat, and for the
+//! shared-exponent fixed-point points runs the branch-free block kernel,
+//! which tests pin bit-identical to decoding `encode_chunk`. Packing a
+//! quantised matrix is therefore the identity and the self-verify
+//! fallback never fires on honest input.
 
 use crate::bbfp::encode_element;
 use crate::bfp::{exp2i, max_exponent};
@@ -66,6 +69,7 @@ use crate::error::FormatError;
 use crate::format::{BbfpConfig, FormatCost, DEFAULT_BLOCK_SIZE, SHARED_EXPONENT_BITS};
 use crate::fp16::{Fp16, SIGNIFICAND_BITS};
 use crate::policy::ExponentPolicy;
+use crate::quantize::{quantize_shared_exponent, SharedExponentFixed};
 use crate::rounding::RoundingMode;
 
 /// How a block's shared scale is stored and applied.
@@ -903,9 +907,14 @@ pub(crate) fn read_chunk(r: &mut BitReader<'_>, len: usize, alg: &FormatAlgebra)
 
 /// Quantise-dequantise an arbitrary-length slice through any packable
 /// algebra point, block by block, writing the reconstruction into
-/// `out`. The final partial block gets its own shared scale; non-finite
-/// inputs saturate through FP16 narrowing first. Idempotent: the packed
-/// encoder re-encodes this output bit-for-bit.
+/// `out`. The final partial block gets its own shared scale. Values
+/// narrow to FP16 first: ±∞ and overflow saturate to ±65504, and a NaN
+/// element stays NaN without taking part in any shared scale. Idempotent:
+/// the packed encoder re-encodes this output bit-for-bit.
+///
+/// The shared-exponent fixed-point points (BFP, BBFP, MSFP) run the
+/// branch-free block kernel; MX and block minifloat decode
+/// `encode_chunk`'s codes.
 ///
 /// ```
 /// use bbal_core::{algebra_quantize_slice, FormatAlgebra, RoundingMode};
@@ -931,15 +940,43 @@ pub fn algebra_quantize_slice(
 ) {
     assert_eq!(out.len(), values.len(), "output length mismatch");
     assert!(alg.packable(), "scalar points have no block quantiser");
+    if let (ScaleKind::SharedExponent { .. }, ElementKind::Fixed) = (alg.scale, alg.element) {
+        // BBFP takes the paper-default policy (offset m − o), as
+        // `encode_shared_exponent` does; BFP and MSFP align to the max.
+        let offset = if alg.overlap_bits > 0 {
+            alg.mantissa_bits - alg.overlap_bits
+        } else {
+            0
+        };
+        let point = SharedExponentFixed {
+            block_size: alg.block_size,
+            mantissa_bits: alg.mantissa_bits,
+            overlap_bits: alg.overlap_bits,
+            offset,
+        };
+        quantize_shared_exponent(values, point, rounding, out);
+        return;
+    }
     let bs = alg.block_size;
+    let mut fp16 = Vec::with_capacity(bs);
     for (chunk, out_chunk) in values.chunks(bs).zip(out.chunks_mut(bs)) {
-        let fp16: Vec<Fp16> = chunk
-            .iter()
-            .map(|&v| Fp16::from_f32_saturating(v))
-            .collect();
+        // A NaN element encodes as zero, which no block or sub-block
+        // maximum counts, and decodes back to itself.
+        fp16.clear();
+        fp16.extend(chunk.iter().map(|&v| {
+            if v.is_nan() {
+                Fp16::ZERO
+            } else {
+                Fp16::from_f32_saturating(v)
+            }
+        }));
         let encoded = encode_chunk(&fp16, alg, rounding);
-        for (i, o) in out_chunk.iter_mut().enumerate() {
-            *o = encoded.decode_value(i, alg);
+        for (i, (o, &v)) in out_chunk.iter_mut().zip(chunk).enumerate() {
+            *o = if v.is_nan() {
+                v
+            } else {
+                encoded.decode_value(i, alg)
+            };
         }
     }
 }
@@ -1096,6 +1133,58 @@ mod tests {
             &mut b,
         );
         assert_eq!(a, b, "msfp(4,16)");
+    }
+
+    #[test]
+    fn shared_exponent_kernel_matches_chunk_codec() {
+        // The slice kernel against the codec the packer stores: decode
+        // `encode_chunk` block by block, every block size, ragged tails.
+        let mut raw = wavy(203, 0.37);
+        raw.extend([0.0, -0.0, 65504.0, -70000.0, 1.0e-7, 2.0f32.powi(-25)]);
+        raw.extend((0..40).map(|i| Fp16::from_bits(i * 811).to_f32()));
+        let mut points = Vec::new();
+        for block in [2usize, 4, 8, 16, 32, 64] {
+            for (m, o) in [(4u8, 0u8), (8, 0), (3, 1), (4, 2), (6, 5), (10, 5)] {
+                points.push(FormatAlgebra {
+                    block_size: block,
+                    scale: ScaleKind::SharedExponent { bits: 5 },
+                    mantissa_bits: m,
+                    overlap_bits: o,
+                    element: ElementKind::Fixed,
+                });
+            }
+        }
+        for m in [1u8, 4, 10] {
+            for block in [4usize, 128] {
+                points.push(FormatAlgebra::msfp(m, block).unwrap());
+            }
+        }
+        let mut got = vec![0.0f32; raw.len()];
+        for alg in &points {
+            alg.validate().unwrap();
+            for rounding in [RoundingMode::NearestEven, RoundingMode::Truncate] {
+                algebra_quantize_slice(&raw, alg, rounding, &mut got);
+                for (b, (chunk, out)) in raw
+                    .chunks(alg.block_size)
+                    .zip(got.chunks(alg.block_size))
+                    .enumerate()
+                {
+                    let fp16: Vec<Fp16> = chunk
+                        .iter()
+                        .map(|&v| Fp16::from_f32_saturating(v))
+                        .collect();
+                    let codes = encode_chunk(&fp16, alg, rounding);
+                    for (i, &q) in out.iter().enumerate() {
+                        assert_eq!(
+                            q.to_bits(),
+                            codes.decode_value(i, alg).to_bits(),
+                            "{} {rounding:?} block {b} index {i}",
+                            alg.display_name()
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

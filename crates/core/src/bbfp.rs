@@ -25,6 +25,7 @@ use crate::error::FormatError;
 use crate::format::BbfpConfig;
 use crate::fp16::{Fp16, SIGNIFICAND_BITS};
 use crate::policy::ExponentPolicy;
+use crate::quantize::{quantize_shared_exponent, SharedExponentFixed};
 use crate::rounding::RoundingMode;
 
 /// One encoded BBFP element: sign, high/low-window flag, and `m`-bit
@@ -252,7 +253,10 @@ pub(crate) fn encode_element(
 /// `out`.
 ///
 /// The final partial block is treated as a smaller block with its own shared
-/// exponent. Non-finite inputs saturate through FP16 narrowing first.
+/// exponent. Values narrow to FP16 first: ±∞ and overflow saturate to
+/// ±65504, and a NaN element stays NaN without taking part in its block's
+/// shared exponent. The output is bit-identical to
+/// [`BbfpBlock::to_f32_vec`] of each finite block.
 ///
 /// # Panics
 ///
@@ -285,22 +289,13 @@ pub fn bbfp_quantize_slice_with(
     rounding: RoundingMode,
     out: &mut [f32],
 ) {
-    assert_eq!(values.len(), out.len(), "output buffer length mismatch");
-    let n = config.block_size();
-    let mut fp16: Vec<Fp16> = Vec::with_capacity(n);
-    for (chunk, out_chunk) in values.chunks(n).zip(out.chunks_mut(n)) {
-        fp16.clear();
-        fp16.extend(chunk.iter().map(|&v| Fp16::from_f32_saturating(v)));
-        let shared = policy.shared_exponent(max_exponent(&fp16));
-        let scale = exp2i(shared - 14 - config.mantissa_bits() as i32);
-        let flag_scale = config.flag_scale();
-        for (v, o) in fp16.iter().zip(out_chunk.iter_mut()) {
-            let e = encode_element(*v, config, shared, rounding);
-            let f = if e.flag { flag_scale } else { 1 };
-            let mag = (e.mantissa as u64 * f as u64) as f32 * scale;
-            *o = if e.sign { -mag } else { mag };
-        }
-    }
+    let point = SharedExponentFixed {
+        block_size: config.block_size(),
+        mantissa_bits: config.mantissa_bits(),
+        overlap_bits: config.overlap_bits(),
+        offset: policy.offset(),
+    };
+    quantize_shared_exponent(values, point, rounding, out);
 }
 
 #[cfg(test)]

@@ -9,6 +9,7 @@
 use crate::error::FormatError;
 use crate::format::BfpConfig;
 use crate::fp16::{Fp16, SIGNIFICAND_BITS};
+use crate::quantize::{quantize_shared_exponent, SharedExponentFixed};
 use crate::rounding::RoundingMode;
 
 /// A block of values in `BFPm` format.
@@ -189,10 +190,20 @@ pub(crate) fn max_exponent(values: &[Fp16]) -> i32 {
         .unwrap_or(0)
 }
 
+/// `2^e` as an `f32`, built from its bit pattern: exact over the whole
+/// representable range `-149..=127` (subnormals included), `0.0` below it
+/// and `+∞` above it, as a correctly rounded `exp2` would give.
 #[inline]
 pub(crate) fn exp2i(e: i32) -> f32 {
-    // Exact for the exponent ranges block formats produce (|e| < 64).
-    (e as f64).exp2() as f32
+    if e > 127 {
+        f32::INFINITY
+    } else if e >= -126 {
+        f32::from_bits(((e + 127) as u32) << 23)
+    } else if e >= -149 {
+        f32::from_bits(1 << (e + 149))
+    } else {
+        0.0
+    }
 }
 
 /// Quantise-dequantise an arbitrary-length slice through `BFPm`, block by
@@ -200,8 +211,10 @@ pub(crate) fn exp2i(e: i32) -> f32 {
 ///
 /// The final partial block (if `values.len()` is not a multiple of the block
 /// size) is treated as a smaller block with its own shared exponent, which
-/// is how tiled hardware handles ragged edges. Non-finite inputs saturate
-/// through FP16 narrowing first.
+/// is how tiled hardware handles ragged edges. Values narrow to FP16 first:
+/// ±∞ and overflow saturate to ±65504, and a NaN element stays NaN without
+/// taking part in its block's shared exponent. The output is bit-identical
+/// to [`BfpBlock::to_f32_vec`] of each finite block.
 ///
 /// # Panics
 ///
@@ -212,26 +225,13 @@ pub fn bfp_quantize_slice(
     rounding: RoundingMode,
     out: &mut [f32],
 ) {
-    assert_eq!(values.len(), out.len(), "output buffer length mismatch");
-    let n = config.block_size();
-    let m = config.mantissa_bits() as u32;
-    let max_mantissa = (1u64 << m) - 1;
-    let mut fp16: Vec<Fp16> = Vec::with_capacity(n);
-    for (chunk, out_chunk) in values.chunks(n).zip(out.chunks_mut(n)) {
-        fp16.clear();
-        fp16.extend(chunk.iter().map(|&v| Fp16::from_f32_saturating(v)));
-        let shared = max_exponent(&fp16);
-        let scale = exp2i(shared - 14 - m as i32);
-        for (v, o) in fp16.iter().zip(out_chunk.iter_mut()) {
-            let (sig, exp) = v.significand();
-            let shift = (SIGNIFICAND_BITS - m) as i32 + (shared - exp);
-            let q = rounding
-                .shift_right(sig as u64, shift as u32)
-                .min(max_mantissa);
-            let mag = q as f32 * scale;
-            *o = if v.is_sign_negative() { -mag } else { mag };
-        }
-    }
+    let point = SharedExponentFixed {
+        block_size: config.block_size(),
+        mantissa_bits: config.mantissa_bits(),
+        overlap_bits: 0,
+        offset: 0,
+    };
+    quantize_shared_exponent(values, point, rounding, out);
 }
 
 #[cfg(test)]
@@ -244,6 +244,14 @@ mod tests {
             .map(|(x, y)| ((x - y) as f64).powi(2))
             .sum::<f64>()
             / a.len() as f64
+    }
+
+    #[test]
+    fn exp2i_matches_libm_exp2_over_the_f32_range() {
+        for e in -160..=140 {
+            let want = (e as f64).exp2() as f32;
+            assert_eq!(exp2i(e).to_bits(), want.to_bits(), "2^{e}");
+        }
     }
 
     #[test]

@@ -49,6 +49,7 @@ pub mod fp16;
 pub mod overlap;
 pub mod packed;
 pub mod policy;
+mod quantize;
 pub mod rounding;
 pub mod scheme;
 

@@ -155,10 +155,10 @@ impl BlockScheme {
 }
 
 /// Encodes one chunk (a full block or a ragged tail) of *already
-/// quantised* values against its own shared scale — exactly the
-/// per-chunk step of [`crate::algebra::algebra_quantize_slice`] (which
-/// the legacy `bfp_quantize_slice`/`bbfp_quantize_slice` agree with on
-/// their points), so re-encoding a quantised chunk is the identity.
+/// quantised* values against its own shared scale. The slice quantisers
+/// ([`crate::algebra::algebra_quantize_slice`], `bfp_quantize_slice`,
+/// `bbfp_quantize_slice`) reproduce the decode of these codes bit for
+/// bit, so re-encoding a quantised chunk is the identity.
 fn encode_chunk(values: &[f32], alg: &FormatAlgebra) -> AlgChunk {
     let fp16: Vec<Fp16> = values
         .iter()

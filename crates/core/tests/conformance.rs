@@ -8,7 +8,13 @@
 //!               = Clip(x >> n)₁₁,₈   if Flag = 0   (take bits 11..8)
 //! ```
 
-use bbal_core::{BbfpBlock, BbfpConfig, BfpBlock, BfpConfig, Fp16};
+mod common;
+
+use bbal_core::{
+    algebra_quantize_slice, bbfp_quantize_slice_with, bfp_quantize_slice, BbfpBlock, BbfpConfig,
+    BfpBlock, BfpConfig, ExponentPolicy, FormatAlgebra, Fp16, RoundingMode,
+};
+use common::{bbfp_oracle, bfp_oracle, first_bit_mismatch};
 
 /// Builds a 32-block whose first elements are the probes and the rest a
 /// constant filler that fixes the block maximum exponent.
@@ -152,5 +158,252 @@ fn product_format_bits_match_fig5a() {
         assert!(p.mantissa <= 0xFF);
         assert!(p.flag_code <= 2);
         assert!(p.widened(cfg) < (1 << 12));
+    }
+}
+
+// --- The slice quantiser kernel against the block codecs ----------------
+
+/// The BBFP points of the Table II and Fig. 8 lineups
+/// (`bbal_quant::registry`), plus the widest, BBFP(10,5).
+const BBFP_POINTS: &[(u8, u8)] = &[
+    (3, 1),
+    (3, 2),
+    (4, 2),
+    (4, 3),
+    (6, 3),
+    (6, 4),
+    (6, 5),
+    (10, 5),
+];
+/// The BFP widths of the lineups plus BFP8.
+const BFP_POINTS: &[u8] = &[4, 6, 8];
+const ROUNDINGS: [RoundingMode; 2] = [RoundingMode::NearestEven, RoundingMode::Truncate];
+
+/// Runs `data` through every point above, in `block`-wide blocks, with
+/// both rounding modes and each point's default policy, and requires
+/// the slice quantisers to reproduce the codec decode bit for bit.
+fn assert_kernel_matches_codecs(data: &[f32], block: usize, what: &str) {
+    let mut got = vec![0.0f32; data.len()];
+    for rounding in ROUNDINGS {
+        for &(m, o) in BBFP_POINTS {
+            let cfg = BbfpConfig::with_block_size(m, o, block).unwrap();
+            let policy = ExponentPolicy::paper_default(cfg);
+            bbfp_quantize_slice_with(data, cfg, policy, rounding, &mut got);
+            let want = bbfp_oracle(data, cfg, policy, rounding);
+            if let Some((i, g, w)) = first_bit_mismatch(&got, &want) {
+                panic!(
+                    "{what}: BBFP({m},{o}) {rounding:?} block {block} index {i} input {:e}: \
+                     {g:#010x} vs codec {w:#010x}",
+                    data[i]
+                );
+            }
+        }
+        for &m in BFP_POINTS {
+            let cfg = BfpConfig::with_block_size(m, block).unwrap();
+            bfp_quantize_slice(data, cfg, rounding, &mut got);
+            let want = bfp_oracle(data, cfg, rounding);
+            if let Some((i, g, w)) = first_bit_mismatch(&got, &want) {
+                panic!(
+                    "{what}: BFP{m} {rounding:?} block {block} index {i} input {:e}: \
+                     {g:#010x} vs codec {w:#010x}",
+                    data[i]
+                );
+            }
+        }
+    }
+}
+
+/// Interleaves `probes` into 32-wide blocks of one `anchor` (slot 0)
+/// plus 31 probes, so each probe meets the shared exponent set by the
+/// larger of the anchor and its own neighbourhood.
+fn anchored_blocks(probes: &[f32], anchor: f32) -> Vec<f32> {
+    probes
+        .chunks(31)
+        .flat_map(|c| std::iter::once(anchor).chain(c.iter().copied()))
+        .collect()
+}
+
+/// Block maxima the probes are measured against: empty, FP16-subnormal,
+/// around one, large, and the FP16 ceiling.
+const ANCHORS: [f32; 6] = [0.0, 3.0e-6, 0.75, 1.0, -300.0, 65504.0];
+
+#[test]
+fn kernel_matches_codecs_on_every_finite_fp16_value() {
+    let probes: Vec<f32> = (0u16..=0xFFFF)
+        .map(Fp16::from_bits)
+        .filter(|v| v.is_finite())
+        .map(Fp16::to_f32)
+        .collect();
+    assert_eq!(probes.len(), 63_488);
+    for anchor in ANCHORS {
+        let data = anchored_blocks(&probes, anchor);
+        assert_kernel_matches_codecs(&data, 32, &format!("anchor {anchor}"));
+    }
+}
+
+#[test]
+fn kernel_matches_codecs_on_fp16_ties_f32_subnormals_and_infinities() {
+    let mut probes = Vec::new();
+    for bits in 0u16..0x7BFF {
+        let lo = Fp16::from_bits(bits).to_f32();
+        let hi = Fp16::from_bits(bits + 1).to_f32();
+        // Exact in f32: FP16 midpoints need only 12 significant bits.
+        let tie = (lo + hi) / 2.0;
+        for p in [
+            tie,
+            f32::from_bits(tie.to_bits() - 1),
+            f32::from_bits(tie.to_bits() + 1),
+        ] {
+            probes.extend([p, -p]);
+        }
+    }
+    probes.extend([
+        f32::from_bits(1),
+        f32::from_bits(0x007F_FFFF),
+        -f32::from_bits(0x0040_0000),
+        f32::MIN_POSITIVE,
+        2.0f32.powi(-25),
+        -2.0f32.powi(-25),
+        2.0f32.powi(-26),
+        65519.0,
+        65520.0,
+        -65535.9,
+        1.0e9,
+        f32::MAX,
+        f32::MIN,
+        f32::INFINITY,
+        f32::NEG_INFINITY,
+    ]);
+    for anchor in [0.0, 1.0, 65504.0] {
+        let data = anchored_blocks(&probes, anchor);
+        assert_kernel_matches_codecs(&data, 32, &format!("anchor {anchor}"));
+    }
+}
+
+/// A deterministic spread across every FP16 binade, with exact ties,
+/// FP16 subnormals, signed zeros and saturating magnitudes.
+fn spread(n: usize, seed: u32) -> Vec<f32> {
+    let mut state = seed.wrapping_mul(0x9E37_79B9) | 1;
+    (0..n)
+        .map(|_| {
+            state ^= state << 13;
+            state ^= state >> 17;
+            state ^= state << 5;
+            let v = match state % 8 {
+                0 => 0.0,
+                1 => -0.0,
+                2 => 70000.0,
+                // A random finite FP16 value.
+                3 | 4 => Fp16::from_bits((state >> 8) as u16 % 0x7C00).to_f32(),
+                // The exact midpoint above a random FP16 value.
+                5 => {
+                    let b = (state >> 8) as u16 % 0x7BFF;
+                    (Fp16::from_bits(b).to_f32() + Fp16::from_bits(b + 1).to_f32()) / 2.0
+                }
+                _ => f32::from_bits(0x3300_0000 + (state >> 9) % 0x1500_0000),
+            };
+            if state & 0x100 != 0 {
+                -v
+            } else {
+                v
+            }
+        })
+        .collect()
+}
+
+#[test]
+fn kernel_matches_codecs_for_every_block_size_with_ragged_tails() {
+    for (k, block) in [1usize, 2, 4, 8, 16, 32, 64].into_iter().enumerate() {
+        // Lengths that end in a partial block (and one shorter than a block).
+        for len in [block * 3 + block / 2 + 1, block.saturating_sub(1).max(1)] {
+            let data = spread(len, 7 + k as u32);
+            assert_kernel_matches_codecs(&data, block, &format!("len {len}"));
+        }
+    }
+}
+
+#[test]
+fn kernel_matches_codec_for_every_policy_offset() {
+    // Every BBFP(m, o), every offset 0..=m (beyond the paper default the
+    // flag window saturates: Fig. 3's "Max-3"), both rounding modes.
+    let data = spread(197, 3);
+    let mut got = vec![0.0f32; data.len()];
+    for m in 1u8..=10 {
+        for o in 0..m {
+            let block = 1usize << ((m + o) % 7);
+            let cfg = BbfpConfig::with_block_size(m, o, block).unwrap();
+            for offset in 0..=m {
+                let policy = ExponentPolicy::MaxMinus(offset);
+                for rounding in ROUNDINGS {
+                    bbfp_quantize_slice_with(&data, cfg, policy, rounding, &mut got);
+                    let want = bbfp_oracle(&data, cfg, policy, rounding);
+                    assert_eq!(
+                        first_bit_mismatch(&got, &want),
+                        None,
+                        "BBFP({m},{o}) offset {offset} {rounding:?} block {block}"
+                    );
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn nan_stays_nan_and_leaves_its_block_unchanged() {
+    // One rule in debug and release alike: a NaN element decodes to NaN
+    // and is left out of the shared exponent, so its neighbours quantise
+    // as if it were zero; ±inf saturates like ±65504.
+    let mut data = spread(80, 5);
+    for i in [0, 9, 33, 79] {
+        data[i] = f32::NAN;
+    }
+    data[40] = f32::INFINITY;
+    data[41] = f32::NEG_INFINITY;
+    let mut reference = data.clone();
+    for v in reference.iter_mut() {
+        if v.is_nan() {
+            *v = 0.0;
+        } else if v.is_infinite() {
+            *v = 65504.0f32.copysign(*v);
+        }
+    }
+    type Quantiser = Box<dyn Fn(&[f32], &mut [f32])>;
+    let ne = RoundingMode::NearestEven;
+    let mut quantisers: Vec<(String, Quantiser)> = vec![
+        (
+            "bfp4".into(),
+            Box::new(move |x, y| bfp_quantize_slice(x, BfpConfig::new(4).unwrap(), ne, y)),
+        ),
+        (
+            "bbfp(4,2)".into(),
+            Box::new(move |x, y| {
+                let cfg = BbfpConfig::new(4, 2).unwrap();
+                bbfp_quantize_slice_with(x, cfg, ExponentPolicy::paper_default(cfg), ne, y)
+            }),
+        ),
+    ];
+    for alg in [
+        FormatAlgebra::bbfp(6, 3).unwrap(),
+        FormatAlgebra::msfp(4, 16).unwrap(),
+        FormatAlgebra::mx(8, 4, 2).unwrap(),
+        FormatAlgebra::blockmf(4, 3, 8).unwrap(),
+    ] {
+        quantisers.push((
+            alg.display_name(),
+            Box::new(move |x, y| algebra_quantize_slice(x, &alg, ne, y)),
+        ));
+    }
+    for (name, quantise) in &quantisers {
+        let mut got = vec![0.0f32; data.len()];
+        let mut want = vec![0.0f32; data.len()];
+        quantise(&data, &mut got);
+        quantise(&reference, &mut want);
+        for (i, (&x, (&g, &w))) in data.iter().zip(got.iter().zip(&want)).enumerate() {
+            if x.is_nan() {
+                assert!(g.is_nan(), "{name}: index {i} lost its NaN: {g}");
+            } else {
+                assert_eq!(g.to_bits(), w.to_bits(), "{name}: index {i}");
+            }
+        }
     }
 }

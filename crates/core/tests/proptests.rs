@@ -1,9 +1,12 @@
 //! Property-based tests for the BBFP/BFP format layer.
 
+mod common;
+
 use bbal_core::{
-    analysis, bbfp_dot, bbfp_quantize_slice, bfp_dot, bfp_quantize_slice, BbfpBlock, BbfpConfig,
-    BfpBlock, BfpConfig, ExponentPolicy, Fp16, RoundingMode,
+    analysis, bbfp_dot, bbfp_quantize_slice, bbfp_quantize_slice_with, bfp_dot, bfp_quantize_slice,
+    BbfpBlock, BbfpConfig, BfpBlock, BfpConfig, ExponentPolicy, Fp16, RoundingMode,
 };
+use common::{bbfp_oracle, bfp_oracle, first_bit_mismatch};
 use proptest::prelude::*;
 
 fn finite_f32() -> impl Strategy<Value = f32> {
@@ -173,6 +176,110 @@ proptest! {
         for (a, b) in t.iter().zip(&n) {
             prop_assert!(a.abs() <= b.abs() + 1e-12);
         }
+    }
+}
+
+// --- The slice quantiser kernel against the block codecs ----------------
+
+fn fp16_in(bits: std::ops::Range<u16>) -> impl Strategy<Value = f32> {
+    bits.prop_map(|b| Fp16::from_bits(b).to_f32())
+}
+
+/// The exact midpoint above an FP16 value in `bits`, or one f32 ulp
+/// either side of it.
+fn fp16_tie_in(bits: std::ops::Range<u16>) -> impl Strategy<Value = f32> {
+    (bits, 0u32..3).prop_map(|(b, nudge)| {
+        let lo = Fp16::from_bits(b).to_f32();
+        let hi = Fp16::from_bits(b + 1).to_f32();
+        f32::from_bits(((lo + hi) / 2.0).to_bits() + nudge - 1)
+    })
+}
+
+fn signed(magnitude: impl Strategy<Value = f32>) -> impl Strategy<Value = f32> {
+    (magnitude, any::<bool>()).prop_map(|(v, neg)| if neg { -v } else { v })
+}
+
+/// A finite FP16 value, an FP16 tie, an exact power of two (the
+/// flag-window thresholds), an f32 subnormal, or a magnitude that
+/// saturates.
+fn kernel_input() -> impl Strategy<Value = f32> {
+    signed(prop_oneof![
+        fp16_in(0..0x7C00),
+        fp16_in(0..0x7C00),
+        fp16_tie_in(0..0x7BFF),
+        (-24i32..=15).prop_map(|e| 2.0f32.powi(e)),
+        (1u32..0x0080_0000).prop_map(f32::from_bits),
+        Just(0.0f32),
+        Just(1.0e6f32),
+        Just(f32::INFINITY),
+    ])
+}
+
+/// Values below `2^-13` only: whole blocks whose quantum reaches FP16's
+/// subnormal step, where the FP16 narrowing itself shows in the output.
+fn tiny_input() -> impl Strategy<Value = f32> {
+    signed(prop_oneof![
+        fp16_in(0..0x0800),
+        fp16_tie_in(0..0x0800),
+        (1u32..0x0080_0000).prop_map(f32::from_bits),
+        Just(0.0f32),
+    ])
+}
+
+/// A block size `1..=64` (the configs take powers of two) and a slice
+/// length that usually ends in a ragged partial block.
+fn blocked_slice() -> impl Strategy<Value = (usize, Vec<f32>)> {
+    (0u32..=6, any::<bool>()).prop_flat_map(|(log, tiny)| {
+        let block = 1usize << log;
+        let len = 1..block * 3 + 2;
+        let data = if tiny {
+            proptest::collection::vec(tiny_input(), len).boxed()
+        } else {
+            proptest::collection::vec(kernel_input(), len).boxed()
+        };
+        (Just(block), data)
+    })
+}
+
+fn rounding_mode() -> impl Strategy<Value = RoundingMode> {
+    prop_oneof![
+        Just(RoundingMode::NearestEven),
+        Just(RoundingMode::Truncate)
+    ]
+}
+
+proptest! {
+    /// `bbfp_quantize_slice_with` reproduces the `BbfpBlock` decode bit
+    /// for bit, for every BBFP(m, o), policy offset `0..=m`, rounding
+    /// mode and block size, ragged tails included.
+    #[test]
+    fn bbfp_kernel_matches_codec(
+        slice in blocked_slice(),
+        point in (1u8..=10).prop_flat_map(|m| (Just(m), 0..m, 0..=m)),
+        rounding in rounding_mode()
+    ) {
+        let (block, data) = slice;
+        let (m, o, offset) = point;
+        let cfg = BbfpConfig::with_block_size(m, o, block).unwrap();
+        let policy = ExponentPolicy::MaxMinus(offset);
+        let mut got = vec![0.0; data.len()];
+        bbfp_quantize_slice_with(&data, cfg, policy, rounding, &mut got);
+        let want = bbfp_oracle(&data, cfg, policy, rounding);
+        prop_assert_eq!(first_bit_mismatch(&got, &want), None);
+    }
+
+    /// `bfp_quantize_slice` reproduces the `BfpBlock` decode bit for bit.
+    #[test]
+    fn bfp_kernel_matches_codec(
+        slice in blocked_slice(),
+        m in 1u8..=10,
+        rounding in rounding_mode()
+    ) {
+        let (block, data) = slice;
+        let cfg = BfpConfig::with_block_size(m, block).unwrap();
+        let mut got = vec![0.0; data.len()];
+        bfp_quantize_slice(&data, cfg, rounding, &mut got);
+        prop_assert_eq!(first_bit_mismatch(&got, &bfp_oracle(&data, cfg, rounding)), None);
     }
 }
 
