@@ -2,14 +2,18 @@
 //! scalar f32 `Tensor::matmul` (the pre-packing serving path) against
 //! [`PackedMatrix::gemm`] per scheme, at the shapes the serving stack
 //! actually runs — a one-row decode step, a 16-row chunked prefill and
-//! a transposed attention-output projection.
+//! a transposed attention-output projection — plus the regime a decode
+//! token really runs in: one-row GEMMs over every decoder matrix of the
+//! prepared Llama-7B stand-in in model order, which streams the whole
+//! weight set through the cache hierarchy instead of reusing one hot
+//! matrix.
 //!
 //! The packed kernels are bit-identical to the scalar path (pinned by
 //! `tests/packed_kernels.rs`); these groups measure what that identity
 //! costs or saves per scheme and storage layout.
 
 use bbal_core::{PackedMatrix, SchemeSpec};
-use bbal_llm::Tensor;
+use bbal_llm::{zoo, Tensor, TransformerModel};
 use bbal_quant::registry::hooks_for;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::time::Duration;
@@ -122,10 +126,48 @@ fn bench_transposed_gemm(c: &mut Criterion) {
     group.finish();
 }
 
+/// One decode token's weight GEMMs: `x_rows = 1` over every decoder
+/// matrix of the Llama-7B stand-in (PTQ'd and packed for the paper's
+/// BBFP(4,2)), in model order — Q, K, V, O, gate, up, down per layer.
+/// The decoded weights (about 5.3 MB of f32) exceed a typical per-core
+/// L2, so each iteration streams them, as serving decode does.
+fn bench_decode_model_sweep(c: &mut Criterion) {
+    let scheme = SchemeSpec::BBAL_PAPER;
+    let hooks = hooks_for(scheme).expect("scheme has hooks");
+    let model =
+        TransformerModel::synthesize(&zoo::llama_7b()).with_transformed_weights(&hooks.as_ref());
+    let mut weights: Vec<&Tensor> = Vec::new();
+    for l in model.layers() {
+        weights.extend([&l.wq, &l.wk, &l.wv, &l.wo]);
+        weights.extend(l.w_gate.as_ref());
+        weights.extend([&l.w_up, &l.w_down]);
+    }
+    let packed: Vec<PackedMatrix> = weights
+        .iter()
+        .map(|w| PackedMatrix::pack(w.data(), w.rows(), w.cols(), scheme))
+        .collect();
+    let macs: usize = packed.iter().map(|p| p.rows() * p.cols()).sum();
+    let xs: Vec<Vec<f32>> = packed.iter().map(|p| activations(p.rows())).collect();
+    let mut outs: Vec<Vec<f32>> = packed.iter().map(|p| vec![0.0f32; p.cols()]).collect();
+
+    let mut group = c.benchmark_group("packed_gemm/decode_model_sweep");
+    group.throughput(Throughput::Elements(macs as u64));
+    group.measurement_time(Duration::from_secs(3));
+    group.bench_with_input(BenchmarkId::new("packed", "bbfp_4_2"), &(), |b, ()| {
+        b.iter(|| {
+            for ((p, x), out) in packed.iter().zip(&xs).zip(outs.iter_mut()) {
+                p.gemm(x, 1, out);
+            }
+        });
+    });
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_decode_gemm,
     bench_prefill_gemm,
-    bench_transposed_gemm
+    bench_transposed_gemm,
+    bench_decode_model_sweep
 );
 criterion_main!(benches);

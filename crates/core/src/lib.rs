@@ -63,7 +63,7 @@ pub use fp16::Fp16;
 pub use overlap::{select_overlap_width, OverlapScore, OverlapSearch};
 pub use packed::{
     attn_dot_packed, attn_weighted_sum_packed, packed_rows_capacity_bytes, BlockScheme, LayoutKind,
-    PackedBlock, PackedMatrix, PackedRows,
+    PackedBlock, PackedMatrix, PackedRows, PANEL_WIDTH,
 };
 pub use policy::ExponentPolicy;
 pub use rounding::RoundingMode;

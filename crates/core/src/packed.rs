@@ -1,14 +1,12 @@
-//! Packed quantised matrix storage and block-dot GEMM kernels.
+//! Packed quantised matrix storage and its GEMM kernels.
 //!
 //! [`crate::bitpack`] defines the bit-exact storage layout of a single
 //! block; this module promotes it to the *storage format* of whole
-//! matrices. A [`PackedMatrix`] holds a weight matrix in its scheme's
-//! native layout — one shared scale field per block (5-bit exponent for
-//! BFP/BBFP, 8-bit for MX/MSFP, a signed bias for block minifloat),
-//! any per-sub-block offset codes, then the packed element payloads
-//! (`sign|mantissa`, `sign|flag|mantissa`, or `sign|exp|mantissa`),
-//! with no padding between fields — plus the two kernel operands that
-//! layout factors every weight into:
+//! matrices. Each block is one shared scale field (5-bit exponent for
+//! BFP/BBFP, 8-bit for MX/MSFP, a signed bias for block minifloat), any
+//! per-sub-block offset codes, then the packed element payloads
+//! (`sign|mantissa`, `sign|flag|mantissa`, or `sign|exp|mantissa`), with
+//! no padding between fields:
 //!
 //! ```text
 //!   block b:   [ e₄e₃e₂e₁e₀ | s f m₃m₂m₁m₀ | s f m₃m₂m₁m₀ | … ]
@@ -17,46 +15,42 @@
 //!                              high window, worth ×2^(m−o))
 //!
 //!   weight[j] = lane[j] × 2^(scale-exponent(b))
-//!               `──┬──'    `────────┬────────'
-//!           exact f32 (flags,   one power-of-two scale
-//!           micro-exponents,    per block
-//!           minifloat exps
-//!           folded in)
 //! ```
 //!
-//! The kernels exploit that factoring: [`PackedBlock::block_dot`]
-//! accumulates activation × mantissa-integer products and applies the
-//! shared-exponent scale **once per block**; the [`PackedMatrix`] GEMMs
-//! fold the block scale into the broadcast activation (`a·2^s` is exact
-//! — a power-of-two scale only shifts the exponent) so the inner loop is
-//! a plain fused multiply-accumulate over the mantissa lane. No
-//! per-element f32 re-quantisation happens anywhere on the hot path.
+//! A [`PackedMatrix`] keeps two things: those bits (or FP16 bits, or
+//! nothing for the dense fallback) as its authoritative storage, and
+//! **one** kernel operand — the decoded weights as f32, laid out k-major
+//! in [`PANEL_WIDTH`]-column panels. A decode-step GEMV streams each
+//! panel front to back, in the order its multiply-accumulates use the
+//! weights, while the accumulators of the panel's columns stay in
+//! registers.
 //!
 //! ## The bit-identity invariant
 //!
-//! Every kernel here is **bit-identical** to the scalar f32 reference
-//! path (`Tensor::matmul` over the decoded weights) by construction:
+//! The [`PackedMatrix`] kernels do exactly the arithmetic of the scalar
+//! f32 reference (`Tensor::matmul` / `Tensor::matmul_transposed` over
+//! the decoded weights), so they are **bit-identical for every input**:
 //!
-//! * decoding is exact: `mantissa × 2^s` is a representable f32 (it *is*
-//!   the stored weight), so the mantissa lane plus block scale lose
-//!   nothing;
-//! * power-of-two scaling commutes with rounding: `fl(a·(m·2^s)) =
-//!   fl((a·2^s)·m) = fl(a·m)·2^s` whenever no intermediate is subnormal
-//!   or infinite — true for the exponent ranges block formats produce;
-//! * accumulation order is preserved: the GEMMs accumulate each output
-//!   element in ascending-`k` order with the same `a == 0.0` skip as the
-//!   reference i-k-j loop, and `fl((x+y)·2^s) = fl(x·2^s + y·2^s)` makes
-//!   the once-per-block scaling of `block_dot` equal to scaling every
-//!   partial sum.
+//! * decoding is exact: packing verifies that the bits decode to the
+//!   input bit-for-bit and falls back to dense f32 otherwise, so the
+//!   panels hold the stored weights themselves;
+//! * every output element sees the same `acc += a·w` in ascending `k`
+//!   (ascending column for the transposed kernel), starting from `+0`,
+//!   with the reference's `a == 0.0` skip.
+//!
+//! [`PackedRows`] (KV pages) keeps a mantissa lane plus one power-of-two
+//! scale per block. Its attention kernels form `lane × 2^s` — exact,
+//! because that is the stored value — before each product, so they are
+//! bit-identical for every input as well. Only
+//! [`PackedBlock::block_dot`] relies on power-of-two scaling commuting
+//! with rounding: it sums `a·lane` and applies the shared-exponent scale
+//! once at the end, which matches the per-element reference unless an
+//! intermediate is subnormal or infinite.
 //!
 //! Schemes whose scales are *not* powers of two (olive, oltron,
-//! omniquant, int) cannot use the block layout; [`PackedMatrix::pack`]
-//! stores them as a dense f32 lane instead ([`LayoutKind::Dense`]), and
-//! FP16 keeps its raw bits next to an exact f32 lane
-//! ([`LayoutKind::Fp16`]). Packing *verifies* itself: the packed bytes
-//! are decoded and compared bit-for-bit against the input, falling back
-//! to the dense layout on any mismatch, so the invariant holds
-//! unconditionally.
+//! omniquant, int) have no block layout; [`PackedMatrix::pack`] stores
+//! them dense ([`LayoutKind::Dense`]), and FP16 keeps its raw bits
+//! ([`LayoutKind::Fp16`]).
 
 use crate::algebra::{self, AlgChunk, ElementKind, FormatAlgebra, ScaleKind};
 use crate::bfp::exp2i;
@@ -317,36 +311,32 @@ pub enum LayoutKind {
     /// Plain f32 — schemes without power-of-two block scales, or the
     /// verified fallback.
     Dense,
-    /// Raw IEEE binary16 bits plus an exact f32 lane.
+    /// Raw IEEE binary16 bits.
     Fp16,
-    /// Native block layout: packed bits + mantissa lane + per-block
-    /// power-of-two scales.
+    /// Native block layout: shared scale fields plus packed element
+    /// payloads.
     Block,
 }
 
+/// Width, in columns, of one panel of [`PackedMatrix`]'s kernel
+/// operand. Worker pools that split a GEMM by output columns align
+/// their ranges to it, so every range covers whole panels.
+pub const PANEL_WIDTH: usize = 32;
+
+/// The authoritative storage of a [`PackedMatrix`]: what
+/// [`PackedMatrix::decode`] and [`PackedMatrix::packed_bits`] read.
 #[derive(Debug, Clone)]
-enum Layout {
-    Dense {
-        lane: Vec<f32>,
-    },
-    Fp16 {
-        bits: Vec<u16>,
-        lane: Vec<f32>,
-    },
+enum Store {
+    /// No separate storage: the decoded panels are the f32 values.
+    Dense,
+    /// IEEE binary16 bits, one per element, row-major.
+    Fp16 { bits: Vec<u16> },
+    /// The scheme's native block layout.
     Block {
         scheme: BlockScheme,
         /// Packed bits of every block, concatenated with no padding.
         bytes: Vec<u8>,
         bit_len: usize,
-        /// Signed effective lane values (flags, micro-exponents and
-        /// minifloat exponents already folded in), one per element.
-        lane: Vec<f32>,
-        /// One power-of-two scale per `group`-element block of the flat
-        /// row-major buffer (final block may be ragged).
-        scale: Vec<f32>,
-        /// The scheme's block size — the stride of `scale` along the
-        /// flat buffer.
-        group: usize,
     },
 }
 
@@ -356,8 +346,7 @@ enum Layout {
 ///
 /// Blocks run along the **flat row-major buffer** — the same geometry
 /// the slice quantisers use — so packing the output of
-/// `transform_weights` is the identity and every decoder dimension that
-/// is a multiple of the block size gets row-aligned blocks for free.
+/// `transform_weights` is the identity.
 ///
 /// ```
 /// use bbal_core::packed::{LayoutKind, PackedMatrix};
@@ -391,7 +380,16 @@ pub struct PackedMatrix {
     rows: usize,
     cols: usize,
     scheme: SchemeSpec,
-    layout: Layout,
+    store: Store,
+    /// The decoded weights, k-major in [`PANEL_WIDTH`]-column panels:
+    /// panel `p` covers columns `[32p, min(32p + 32, cols))` and holds
+    /// them as a `rows × width` row-major block starting at
+    /// `32p · rows`. The last panel is narrower when `cols` is not a
+    /// multiple of 32.
+    panels: Vec<f32>,
+    /// Every weight is finite, so `0·w` is an exact zero and the rows of
+    /// a tile may share one zero-skip (see `gemm_cols`).
+    finite: bool,
 }
 
 impl PackedMatrix {
@@ -401,8 +399,8 @@ impl PackedMatrix {
     /// BFP/BBFP schemes get the block layout, FP16 the binary16 layout;
     /// every other scheme — and any input the block encoder cannot
     /// reproduce bit-for-bit (e.g. values that did not come from this
-    /// scheme's quantiser) — falls back to a dense f32 lane, so the
-    /// GEMM bit-identity invariant holds unconditionally.
+    /// scheme's quantiser) — falls back to dense f32, so the GEMM
+    /// bit-identity invariant holds unconditionally.
     ///
     /// # Panics
     ///
@@ -410,7 +408,18 @@ impl PackedMatrix {
     pub fn pack(values: &[f32], rows: usize, cols: usize, scheme: SchemeSpec) -> PackedMatrix {
         assert!(rows > 0 && cols > 0, "degenerate matrix {rows}x{cols}");
         assert_eq!(values.len(), rows * cols, "data length mismatch");
-        let layout = match scheme {
+        // Every layout stores exactly `values` (verified below), so the
+        // panels are a reordering of the input. They are allocated before
+        // the packer's growing bit buffer, whose reallocations then stay
+        // above this long-lived block on the heap.
+        let mut panels = Vec::with_capacity(values.len());
+        for c0 in (0..cols).step_by(PANEL_WIDTH) {
+            let c1 = cols.min(c0 + PANEL_WIDTH);
+            for row in values.chunks_exact(cols) {
+                panels.extend_from_slice(&row[c0..c1]);
+            }
+        }
+        let store = match scheme {
             SchemeSpec::Fp16 => pack_fp16(values),
             SchemeSpec::Bfp(_)
             | SchemeSpec::Bbfp(_, _)
@@ -421,14 +430,14 @@ impl PackedMatrix {
             }
             _ => None,
         }
-        .unwrap_or_else(|| Layout::Dense {
-            lane: values.to_vec(),
-        });
+        .unwrap_or(Store::Dense);
         PackedMatrix {
             rows,
             cols,
             scheme,
-            layout,
+            store,
+            panels,
+            finite: values.iter().all(|v| v.is_finite()),
         }
     }
 
@@ -449,10 +458,10 @@ impl PackedMatrix {
 
     /// Which layout the matrix ended up in.
     pub fn layout_kind(&self) -> LayoutKind {
-        match &self.layout {
-            Layout::Dense { .. } => LayoutKind::Dense,
-            Layout::Fp16 { .. } => LayoutKind::Fp16,
-            Layout::Block { .. } => LayoutKind::Block,
+        match &self.store {
+            Store::Dense => LayoutKind::Dense,
+            Store::Fp16 { .. } => LayoutKind::Fp16,
+            Store::Block { .. } => LayoutKind::Block,
         }
     }
 
@@ -460,40 +469,42 @@ impl PackedMatrix {
     /// (`rows·cols·32` for the dense fallback — the honesty metric the
     /// memory-density tests pin).
     pub fn packed_bits(&self) -> usize {
-        match &self.layout {
-            Layout::Dense { lane } => lane.len() * 32,
-            Layout::Fp16 { bits, .. } => bits.len() * 16,
-            Layout::Block { bit_len, .. } => *bit_len,
+        match &self.store {
+            Store::Dense => self.panels.len() * 32,
+            Store::Fp16 { bits } => bits.len() * 16,
+            Store::Block { bit_len, .. } => *bit_len,
         }
     }
 
-    /// Decodes the authoritative storage back to the full f32 matrix —
-    /// for the block layout that means reading the packed bits, not the
-    /// lane.
+    /// Decodes the authoritative storage back to the full row-major f32
+    /// matrix — for the FP16 and block layouts that means reading the
+    /// stored bits, not the kernel panels.
     pub fn decode(&self) -> Vec<f32> {
-        match &self.layout {
-            Layout::Dense { lane } => lane.clone(),
-            Layout::Fp16 { bits, .. } => {
-                bits.iter().map(|&b| Fp16::from_bits(b).to_f32()).collect()
+        match &self.store {
+            Store::Dense => {
+                let mut out = vec![0.0; self.panels.len()];
+                for (p, panel) in self.panels.chunks(PANEL_WIDTH * self.rows).enumerate() {
+                    let c0 = p * PANEL_WIDTH;
+                    let width = panel.len() / self.rows;
+                    for (row, src) in out
+                        .chunks_exact_mut(self.cols)
+                        .zip(panel.chunks_exact(width))
+                    {
+                        row[c0..c0 + width].copy_from_slice(src);
+                    }
+                }
+                out
             }
-            Layout::Block {
-                scheme,
-                bytes,
-                group,
-                ..
-            } => {
+            Store::Fp16 { bits } => bits.iter().map(|&b| Fp16::from_bits(b).to_f32()).collect(),
+            Store::Block { scheme, bytes, .. } => {
                 let alg = scheme.algebra_form();
                 let n = self.rows * self.cols;
                 let mut out = Vec::with_capacity(n);
                 let mut r = BitReader::new(bytes);
-                let mut done = 0;
-                while done < n {
-                    let len = (*group).min(n - done);
+                while out.len() < n {
+                    let len = alg.block_size.min(n - out.len());
                     let chunk = algebra::read_chunk(&mut r, len, &alg);
-                    for i in 0..len {
-                        out.push(chunk.decode_value(i, &alg));
-                    }
-                    done += len;
+                    out.extend((0..len).map(|i| chunk.decode_value(i, &alg)));
                 }
                 out
             }
@@ -531,25 +542,53 @@ impl PackedMatrix {
         assert_eq!(x.len(), x_rows * self.rows, "x shape mismatch");
         let width = c1 - c0;
         assert_eq!(out.len(), x_rows * width, "out shape mismatch");
-        let (lane, scale) = self.kernel_operands();
+        // The reference skips `a == 0.0`. A tile skips a `k` only when
+        // every row's `a` is zero. With finite weights the other rows'
+        // `0·w` is ±0, and adding ±0 leaves an accumulator unchanged (it
+        // starts at +0 and a round-to-nearest sum is −0 only when both
+        // terms are). A non-finite weight (`0·∞` is NaN) forces one-row
+        // tiles, whose skip is exactly the reference's.
+        let max_tile = if self.finite { 4 } else { 1 };
+        let (xs, outs) = (
+            x.chunks(max_tile * self.rows),
+            out.chunks_mut(max_tile * width),
+        );
+        for (x_tile, out_tile) in xs.zip(outs) {
+            match x_tile.len() / self.rows {
+                1 => self.gemm_tile::<1, 8>(x_tile, c0, c1, out_tile),
+                2 => self.gemm_tile::<2, 4>(x_tile, c0, c1, out_tile),
+                3 => self.gemm_tile::<3, 2>(x_tile, c0, c1, out_tile),
+                _ => self.gemm_tile::<4, 2>(x_tile, c0, c1, out_tile),
+            }
+        }
+    }
+
+    /// One tile of `R` activation rows against output columns
+    /// `[c0, c1)`: each panel is walked in strips of `V` four-column
+    /// vectors whose `R × 4V` accumulators stay in registers across
+    /// every `k`; columns left over past the last full strip go one at
+    /// a time.
+    fn gemm_tile<const R: usize, const V: usize>(
+        &self,
+        x: &[f32],
+        c0: usize,
+        c1: usize,
+        out: &mut [f32],
+    ) {
         let k_len = self.rows;
-        let n = self.cols;
-        for i in 0..x_rows {
-            let x_row = &x[i * k_len..(i + 1) * k_len];
-            let out_row = &mut out[i * width..(i + 1) * width];
-            out_row.fill(0.0);
-            match scale {
-                None => axpy_dense(x_row, lane, n, c0, c1, out_row),
-                Some((scale, group)) => {
-                    if n.is_multiple_of(group)
-                        && c0.is_multiple_of(group)
-                        && c1.is_multiple_of(group)
-                    {
-                        axpy_block_aligned(x_row, lane, scale, group, n, c0, c1, out_row);
-                    } else {
-                        axpy_block_ragged(x_row, lane, scale, group, n, c0, c1, out_row);
-                    }
-                }
+        let width = c1 - c0;
+        for p0 in (c0 / PANEL_WIDTH * PANEL_WIDTH..c1).step_by(PANEL_WIDTH) {
+            let pw = PANEL_WIDTH.min(self.cols - p0);
+            let panel = &self.panels[p0 * k_len..(p0 + pw) * k_len];
+            let (mut j, j1) = (c0.max(p0) - p0, c1.min(p0 + pw) - p0);
+            while j + 4 * V <= j1 {
+                let acc = panel_strip::<R, V, 4>(x, panel, pw, j);
+                store_strip(&acc, out, width, p0 + j - c0);
+                j += 4 * V;
+            }
+            for j in j..j1 {
+                let acc = panel_strip::<R, 1, 1>(x, panel, pw, j);
+                store_strip(&acc, out, width, p0 + j - c0);
             }
         }
     }
@@ -587,69 +626,96 @@ impl PackedMatrix {
         assert_eq!(x.len(), x_rows * self.cols, "x shape mismatch");
         let width = r1 - r0;
         assert_eq!(out.len(), x_rows * width, "out shape mismatch");
-        let (lane, scale) = self.kernel_operands();
-        let n = self.cols;
-        for i in 0..x_rows {
-            let x_row = &x[i * n..(i + 1) * n];
-            for r in r0..r1 {
-                let w_row = &lane[r * n..(r + 1) * n];
-                let acc = match scale {
-                    None => dot_plain(x_row, w_row),
-                    // Row-aligned rows (the common decoder shapes, where
-                    // n is a multiple of the block size) take the fast
-                    // path: no per-segment flat-index division.
-                    Some((scale, group)) if n.is_multiple_of(group) => {
-                        dot_scaled_aligned(x_row, w_row, &scale[r * (n / group)..], group)
-                    }
-                    Some((scale, group)) => dot_scaled(x_row, w_row, scale, group, r * n),
-                };
-                out[i * width + (r - r0)] = acc;
+        for (x_row, out_row) in x.chunks_exact(self.cols).zip(out.chunks_exact_mut(width)) {
+            for (o, r) in out_row.iter_mut().zip(r0..r1) {
+                *o = self.panel_dot(x_row, r);
             }
         }
     }
 
-    /// The kernel operands: the f32 lane and, for the block layout, the
-    /// per-block scales with their block-size stride.
-    fn kernel_operands(&self) -> (&[f32], Option<(&[f32], usize)>) {
-        match &self.layout {
-            Layout::Dense { lane } => (lane, None),
-            Layout::Fp16 { lane, .. } => (lane, None),
-            Layout::Block {
-                lane, scale, group, ..
-            } => (lane, Some((scale, *group))),
+    /// The sequential dot of `x_row` with W row `r`: the row's segment
+    /// in each panel in turn, in ascending column order.
+    fn panel_dot(&self, x_row: &[f32], r: usize) -> f32 {
+        let mut acc = 0.0f32;
+        let panels = self.panels.chunks(PANEL_WIDTH * self.rows);
+        for (panel, xs) in panels.zip(x_row.chunks(PANEL_WIDTH)) {
+            let w = &panel[r * xs.len()..(r + 1) * xs.len()];
+            for (a, b) in xs.iter().zip(w) {
+                acc += a * b;
+            }
         }
+        acc
     }
 }
 
-/// Packs FP16: raw bits + exact f32 lane; `None` if any value is not an
-/// exact binary16 (then the dense fallback keeps bit-identity).
-fn pack_fp16(values: &[f32]) -> Option<Layout> {
-    let mut bits = Vec::with_capacity(values.len());
-    let mut lane = Vec::with_capacity(values.len());
-    for &v in values {
-        let h = Fp16::from_f32_saturating(v);
-        let back = h.to_f32();
-        if back.to_bits() != v.to_bits() {
-            return None;
+/// The register-tiled GEMM body: the `R × V·L` outputs at columns
+/// `[j, j + V·L)` of a `pw`-wide panel for the `R` rows of `x`,
+/// accumulated `acc += a·w` in ascending `k`, skipping a `k` whose `R`
+/// activations are all zero — exactly the arithmetic of the reference
+/// i-k-j loop for each output element (see `gemm_cols` for the shared
+/// skip). Grouping the columns as `V` vectors of `L` lanes lets the
+/// compiler map each group onto one SIMD register.
+#[inline(always)]
+fn panel_strip<const R: usize, const V: usize, const L: usize>(
+    x: &[f32],
+    panel: &[f32],
+    pw: usize,
+    j: usize,
+) -> [[[f32; L]; V]; R] {
+    let k_len = x.len() / R;
+    let mut acc = [[[0.0f32; L]; V]; R];
+    for (k, w_k) in panel.chunks_exact(pw).enumerate() {
+        let a: [f32; R] = std::array::from_fn(|r| x[r * k_len + k]);
+        if a.iter().all(|&v| v == 0.0) {
+            continue;
         }
-        bits.push(h.to_bits());
-        lane.push(back);
+        let w = &w_k[j..j + V * L];
+        for (acc_r, &a_r) in acc.iter_mut().zip(&a) {
+            for (acc_v, w_v) in acc_r.iter_mut().zip(w.chunks_exact(L)) {
+                for l in 0..L {
+                    acc_v[l] += a_r * w_v[l];
+                }
+            }
+        }
     }
-    Some(Layout::Fp16 { bits, lane })
+    acc
+}
+
+/// Writes a strip's `R` accumulator rows into `out` (rows `width`
+/// long) at column `at`.
+fn store_strip<const R: usize, const V: usize, const L: usize>(
+    acc: &[[[f32; L]; V]; R],
+    out: &mut [f32],
+    width: usize,
+    at: usize,
+) {
+    for (acc_r, out_r) in acc.iter().zip(out.chunks_mut(width)) {
+        out_r[at..at + V * L].copy_from_slice(acc_r.as_flattened());
+    }
+}
+
+/// Packs FP16 bits; `None` if any value is not an exact binary16 (then
+/// the dense fallback keeps bit-identity).
+fn pack_fp16(values: &[f32]) -> Option<Store> {
+    let bits = values
+        .iter()
+        .map(|&v| {
+            let h = Fp16::from_f32_saturating(v);
+            (h.to_f32().to_bits() == v.to_bits()).then(|| h.to_bits())
+        })
+        .collect::<Option<Vec<u16>>>()?;
+    Some(Store::Fp16 { bits })
 }
 
 /// Packs the block layout over the flat buffer; `None` if any block
 /// fails the bit-exact round-trip check.
-fn pack_blocks(values: &[f32], scheme: BlockScheme) -> Option<Layout> {
+fn pack_blocks(values: &[f32], scheme: BlockScheme) -> Option<Store> {
     let alg = scheme.algebra_form();
     if !alg.packable() {
         return None;
     }
-    let group = alg.block_size;
     let mut w = BitWriter::new();
-    let mut lane = Vec::with_capacity(values.len());
-    let mut scale = Vec::with_capacity(values.len().div_ceil(group));
-    for chunk in values.chunks(group) {
+    for chunk in values.chunks(alg.block_size) {
         if chunk.iter().any(|v| !v.is_finite()) {
             return None;
         }
@@ -658,162 +724,15 @@ fn pack_blocks(values: &[f32], scheme: BlockScheme) -> Option<Layout> {
             if encoded.decode_value(i, &alg).to_bits() != v.to_bits() {
                 return None;
             }
-            lane.push(encoded.lane_value(i, &alg));
         }
-        scale.push(exp2i(encoded.scale_exponent(&alg)));
         algebra::write_chunk(&mut w, &encoded, &alg);
     }
     let bit_len = w.bit_len();
-    Some(Layout::Block {
+    Some(Store::Block {
         scheme,
         bytes: w.into_bytes(),
         bit_len,
-        lane,
-        scale,
-        group,
     })
-}
-
-/// How many nonzero activation rows the fused axpy kernels fold per
-/// pass: quarters the read/write traffic on the output row, which is
-/// what bounds the scalar i-k-j loop.
-const KQUAD: usize = 4;
-
-/// Dense/FP16 axpy over columns `[c0, c1)`: ascending-`k`, zero-skip,
-/// four activation rows fused per pass (per-element accumulation order
-/// is unchanged by the fusion — each output element still sees its `+=`s
-/// in ascending `k`).
-fn axpy_dense(x_row: &[f32], lane: &[f32], n: usize, c0: usize, c1: usize, out_row: &mut [f32]) {
-    let width = c1 - c0;
-    let mut quad = [(0usize, 0.0f32); KQUAD];
-    let mut filled = 0;
-    for (k, &a) in x_row.iter().enumerate() {
-        if a == 0.0 {
-            continue;
-        }
-        quad[filled] = (k, a);
-        filled += 1;
-        if filled == KQUAD {
-            let [q0, q1, q2, q3] = quad;
-            let l0 = &lane[q0.0 * n + c0..q0.0 * n + c1];
-            let l1 = &lane[q1.0 * n + c0..q1.0 * n + c1];
-            let l2 = &lane[q2.0 * n + c0..q2.0 * n + c1];
-            let l3 = &lane[q3.0 * n + c0..q3.0 * n + c1];
-            for j in 0..width {
-                let mut v = out_row[j];
-                v += q0.1 * l0[j];
-                v += q1.1 * l1[j];
-                v += q2.1 * l2[j];
-                v += q3.1 * l3[j];
-                out_row[j] = v;
-            }
-            filled = 0;
-        }
-    }
-    for &(k, a) in &quad[..filled] {
-        let l = &lane[k * n + c0..k * n + c1];
-        for (o, &b) in out_row.iter_mut().zip(l) {
-            *o += a * b;
-        }
-    }
-}
-
-/// Block-layout axpy when every block boundary is column-aligned (the
-/// decoder-dimension fast path): the block scale folds into the
-/// broadcast activation once per block, and four activation rows fuse
-/// per pass exactly as in [`axpy_dense`].
-#[allow(clippy::too_many_arguments)]
-fn axpy_block_aligned(
-    x_row: &[f32],
-    lane: &[f32],
-    scale: &[f32],
-    group: usize,
-    n: usize,
-    c0: usize,
-    c1: usize,
-    out_row: &mut [f32],
-) {
-    let bpr = n / group;
-    let b0 = c0 / group;
-    let b1 = c1 / group;
-    let mut quad = [(0usize, 0.0f32); KQUAD];
-    let mut filled = 0;
-    for (k, &a) in x_row.iter().enumerate() {
-        if a == 0.0 {
-            continue;
-        }
-        quad[filled] = (k, a);
-        filled += 1;
-        if filled == KQUAD {
-            let [q0, q1, q2, q3] = quad;
-            for b in b0..b1 {
-                let j0 = b * group;
-                let as0 = q0.1 * scale[q0.0 * bpr + b];
-                let as1 = q1.1 * scale[q1.0 * bpr + b];
-                let as2 = q2.1 * scale[q2.0 * bpr + b];
-                let as3 = q3.1 * scale[q3.0 * bpr + b];
-                let l0 = &lane[q0.0 * n + j0..q0.0 * n + j0 + group];
-                let l1 = &lane[q1.0 * n + j0..q1.0 * n + j0 + group];
-                let l2 = &lane[q2.0 * n + j0..q2.0 * n + j0 + group];
-                let l3 = &lane[q3.0 * n + j0..q3.0 * n + j0 + group];
-                let o = &mut out_row[j0 - c0..j0 - c0 + group];
-                for j in 0..group {
-                    let mut v = o[j];
-                    v += as0 * l0[j];
-                    v += as1 * l1[j];
-                    v += as2 * l2[j];
-                    v += as3 * l3[j];
-                    o[j] = v;
-                }
-            }
-            filled = 0;
-        }
-    }
-    for &(k, a) in &quad[..filled] {
-        for b in b0..b1 {
-            let j0 = b * group;
-            let a_s = a * scale[k * bpr + b];
-            let l = &lane[k * n + j0..k * n + j0 + group];
-            let o = &mut out_row[j0 - c0..j0 - c0 + group];
-            for j in 0..group {
-                o[j] += a_s * l[j];
-            }
-        }
-    }
-}
-
-/// Block-layout axpy for arbitrary column ranges and widths (blocks run
-/// along the *flat* buffer, so a ragged matrix's block boundaries shift
-/// per row): walks each row's covered flat-block segments one at a time.
-#[allow(clippy::too_many_arguments)]
-fn axpy_block_ragged(
-    x_row: &[f32],
-    lane: &[f32],
-    scale: &[f32],
-    group: usize,
-    n: usize,
-    c0: usize,
-    c1: usize,
-    out_row: &mut [f32],
-) {
-    for (k, &a) in x_row.iter().enumerate() {
-        if a == 0.0 {
-            continue;
-        }
-        let mut j = c0;
-        while j < c1 {
-            let flat = k * n + j;
-            let block = flat / group;
-            let seg_end = c1.min(j + (group - flat % group));
-            let a_s = a * scale[block];
-            let l = &lane[flat..flat + (seg_end - j)];
-            let o = &mut out_row[j - c0..seg_end - c0];
-            for (ov, &lv) in o.iter_mut().zip(l) {
-                *ov += a_s * lv;
-            }
-            j = seg_end;
-        }
-    }
 }
 
 /// Sequential dot product (the transposed-GEMM reference order).
@@ -825,12 +744,11 @@ fn dot_plain(x_row: &[f32], w_row: &[f32]) -> f32 {
     acc
 }
 
-/// Sequential dot against the mantissa lane when the row starts on a
-/// block boundary and covers whole blocks (`n % group == 0`): the
-/// per-segment flat-index division of [`dot_scaled`] disappears and the
-/// inner loop runs over exact-size chunks the compiler can keep in
-/// registers. Accumulation order is identical to [`dot_scaled`] (and to
-/// the scalar reference), so the result is bit-identical.
+/// Sequential dot against a block lane when the span starts on a block
+/// boundary and covers whole blocks: no per-segment flat-index division,
+/// and exact-size chunks the compiler can keep in registers. Each
+/// product is `x · (l·2^s)`, and `l·2^s` is the stored value exactly, so
+/// the result is bit-identical to [`dot_plain`] over the stored values.
 fn dot_scaled_aligned(x_row: &[f32], w_row: &[f32], scale: &[f32], group: usize) -> f32 {
     let mut acc = 0.0f32;
     for (bi, (xc, wc)) in x_row
@@ -840,16 +758,15 @@ fn dot_scaled_aligned(x_row: &[f32], w_row: &[f32], scale: &[f32], group: usize)
     {
         let s = scale[bi];
         for (x, w) in xc.iter().zip(wc) {
-            acc += (x * s) * w;
+            acc += x * (w * s);
         }
     }
     acc
 }
 
-/// Sequential dot against the mantissa lane: the block scale folds into
-/// the activation at each flat-block boundary, keeping every partial
-/// product equal to `fl(aⱼ·wⱼ)` while the accumulator order matches the
-/// reference exactly.
+/// Sequential dot against a block lane for any span: walks the flat
+/// blocks the span crosses, forming each product as `x · (l·2^s)` (the
+/// stored value, exactly) in the reference order.
 fn dot_scaled(x_row: &[f32], w_row: &[f32], scale: &[f32], group: usize, flat0: usize) -> f32 {
     let mut acc = 0.0f32;
     let n = x_row.len();
@@ -860,7 +777,7 @@ fn dot_scaled(x_row: &[f32], w_row: &[f32], scale: &[f32], group: usize, flat0: 
         let seg_end = n.min(j + (group - flat % group));
         let s = scale[block];
         for jj in j..seg_end {
-            acc += (x_row[jj] * s) * w_row[jj];
+            acc += x_row[jj] * (w_row[jj] * s);
         }
         j = seg_end;
     }
@@ -908,10 +825,11 @@ enum RowsLayout {
 ///
 /// The attention kernels ([`attn_dot_packed`],
 /// [`attn_weighted_sum_packed`]) read head-column slices of the rows
-/// straight off the mantissa lane + block scales, reusing the
-/// power-of-two commuting argument of the module docs — so QK^T and AV
-/// over a packed buffer are bit-identical to the dense f32 loops they
-/// replace.
+/// straight off the mantissa lane + block scales, forming each stored
+/// value as `lane × 2^scale` (exact: it is the value that was pushed)
+/// before the product — so QK^T and AV over a packed buffer are
+/// bit-identical to the dense f32 loops they replace, for every query
+/// and probability.
 ///
 /// ```
 /// use bbal_core::packed::{LayoutKind, PackedRows};
@@ -1148,9 +1066,8 @@ fn encode_row(row: &[f32], alg: &FormatAlgebra, group: usize) -> Option<(Vec<f32
 
 /// `q · K[j, c0..c0+q.len()]` over a packed row buffer: the QK^T inner
 /// product of one attention head against one cached key row.
-/// Bit-identical to the dense f32 dot in ascending-column order (the
-/// block scale folds into the broadcast activation, exactly as in
-/// [`PackedMatrix::gemm_transposed`]).
+/// Bit-identical to the dense f32 dot in ascending-column order: each
+/// product is `q · (l·2^s)`, and `l·2^s` is the stored key exactly.
 ///
 /// # Panics
 ///
@@ -1180,8 +1097,8 @@ pub fn attn_dot_packed(q: &[f32], rows: &PackedRows, j: usize, c0: usize) -> f32
 /// `out[d] += probs[j] · V[j, c0+d]` for every row `j` in ascending
 /// order: the AV accumulation of one attention head over a packed row
 /// buffer, bit-identical to the dense f32 loop (per output element the
-/// `+=`s arrive in the same order, and the power-of-two block scale
-/// folds into the broadcast probability exactly).
+/// `+=`s arrive in the same order, and each product is `p · (l·2^s)`,
+/// where `l·2^s` is the stored value exactly).
 ///
 /// # Panics
 ///
@@ -1212,9 +1129,9 @@ pub fn attn_weighted_sum_packed(probs: &[f32], rows: &PackedRows, c0: usize, out
                     let flat = flat0 + d;
                     let block = flat / group;
                     let seg_end = dh.min(d + (group - flat % group));
-                    let ps = p * scale[block];
+                    let s = scale[block];
                     for dd in d..seg_end {
-                        out[dd] += ps * lane[flat0 + dd];
+                        out[dd] += p * (lane[flat0 + dd] * s);
                     }
                     d = seg_end;
                 }
@@ -1515,9 +1432,8 @@ mod tests {
     }
 
     #[test]
-    fn transposed_aligned_fast_path_is_bit_identical_to_segment_walk() {
-        // Satellite check for the PR 8 `gemm_transposed` regression: the
-        // aligned fast path must agree bit-for-bit with the generic
+    fn attn_aligned_fast_path_is_bit_identical_to_segment_walk() {
+        // The aligned key dot must agree bit-for-bit with the generic
         // segment walk it bypasses, on every block scheme.
         for scheme in [
             SchemeSpec::Bbfp(4, 2),
@@ -1526,17 +1442,17 @@ mod tests {
             SchemeSpec::Msfp(4, 16),
             SchemeSpec::BlockMf(4, 3, 8),
         ] {
-            let bs = BlockScheme::from_scheme(scheme).unwrap();
-            let group = bs.block_size();
-            let (w_rows, n) = (4usize, group * 3);
-            let q = quantised(scheme, w_rows * n, 31);
-            let p = PackedMatrix::pack(&q, w_rows, n, scheme);
-            assert_eq!(p.layout_kind(), LayoutKind::Block, "{scheme}");
-            let (lane, scale) = p.kernel_operands();
-            let (scale, g) = scale.unwrap();
-            assert_eq!(g, group);
+            let group = BlockScheme::from_scheme(scheme).unwrap().block_size();
+            let n = group * 3;
+            let mut rows = PackedRows::new(scheme, n);
+            for r in 0..4 {
+                rows.push_row(&quantised(scheme, n, 31 + r));
+            }
+            let RowsLayout::Block { lane, scale, .. } = &rows.layout else {
+                panic!("{scheme} rows should take the block layout");
+            };
             let x = quantised(SchemeSpec::Fp16, n, 37);
-            for r in 0..w_rows {
+            for r in 0..4 {
                 let w_row = &lane[r * n..(r + 1) * n];
                 let fast = dot_scaled_aligned(&x, w_row, &scale[r * (n / group)..], group);
                 let slow = dot_scaled(&x, w_row, scale, group, r * n);
@@ -1713,6 +1629,79 @@ mod tests {
                     .all(|(a, b)| a.to_bits() == b.to_bits());
                 assert!(same, "{scheme} weighted sum c0={c0} dh={dh}");
             }
+        }
+    }
+
+    /// A non-finite weight makes `0·w` NaN, so the reference's zero-skip
+    /// must hold per row even inside a multi-row GEMM.
+    #[test]
+    fn non_finite_weights_keep_the_exact_zero_skip() {
+        let (k_len, n) = (3usize, 40usize);
+        let mut w = quantised(SchemeSpec::Fp32, k_len * n, 61);
+        w[n + 3] = f32::INFINITY;
+        w[2 * n + 35] = f32::NAN;
+        let p = PackedMatrix::pack(&w, k_len, n, SchemeSpec::Fp32);
+        // Rows 0, 2 and 4 skip the non-finite weights' `k`; rows 1 and 3
+        // do not.
+        let x = [
+            0.5, 0.0, 0.0, //
+            0.5, 1.0, -2.0, //
+            0.0, -0.0, 0.0, //
+            1.0, 0.25, 0.0, //
+            -1.0, 0.0, 0.0,
+        ];
+        let mut out = vec![0.0f32; 5 * n];
+        p.gemm(&x, 5, &mut out);
+        let reference = reference_gemm(&x, 5, &w, k_len, n);
+        let same = out
+            .iter()
+            .zip(&reference)
+            .all(|(a, b)| a.to_bits() == b.to_bits());
+        assert!(same);
+        assert!(out[3].is_finite() && out[n + 3].is_infinite());
+    }
+
+    /// Activations, queries and probabilities small enough that folding
+    /// a block scale into them first would underflow: every kernel must
+    /// still match its dense loop bit for bit.
+    #[test]
+    fn subnormal_inputs_stay_bit_identical_in_every_kernel() {
+        let scheme = SchemeSpec::Bbfp(4, 2);
+        let q = quantised(scheme, 64, 21);
+        let p = PackedMatrix::pack(&q, 2, 32, scheme);
+        assert_eq!(p.layout_kind(), LayoutKind::Block);
+        let same = |a: &[f32], b: &[f32]| a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits());
+        for x in [[1e-40f32, 0.0], [3e-39, -2e-41]] {
+            let mut out = vec![f32::NAN; 32];
+            p.gemm(&x, 1, &mut out);
+            assert!(same(&out, &reference_gemm(&x, 1, &q, 2, 32)), "gemm {x:?}");
+        }
+        let mut rows = PackedRows::new(scheme, 32);
+        rows.push_row(&q[..32]);
+        rows.push_row(&q[32..]);
+        for tiny in [1e-40f32, 3e-39] {
+            let xt: Vec<f32> = (0..32).map(|d| tiny * (d as f32 - 15.5)).collect();
+            let mut out = [f32::NAN; 2];
+            p.gemm_transposed(&xt, 1, &mut out);
+            for r in 0..2 {
+                let mut acc = 0.0f32;
+                for (d, xv) in xt.iter().enumerate() {
+                    acc += xv * q[r * 32 + d];
+                }
+                assert_eq!(out[r].to_bits(), acc.to_bits(), "transposed {tiny} row {r}");
+                let got = attn_dot_packed(&xt, &rows, r, 0);
+                assert_eq!(got.to_bits(), acc.to_bits(), "QK {tiny} row {r}");
+            }
+            let probs = [tiny, 0.5 * tiny];
+            let mut reference = vec![0.0f32; 32];
+            for (j, &pr) in probs.iter().enumerate() {
+                for (d, rv) in reference.iter_mut().enumerate() {
+                    *rv += pr * q[j * 32 + d];
+                }
+            }
+            let mut out = vec![0.0f32; 32];
+            attn_weighted_sum_packed(&probs, &rows, 0, &mut out);
+            assert!(same(&out, &reference), "AV {tiny}");
         }
     }
 

@@ -18,7 +18,7 @@
 //! With `workers <= 1` (the default everywhere) the kernel runs inline:
 //! no threads, no channels, no allocation beyond the output itself.
 
-use bbal_core::{PackedMatrix, DEFAULT_BLOCK_SIZE};
+use bbal_core::{PackedMatrix, PANEL_WIDTH};
 use std::sync::mpsc;
 use std::sync::{Arc, Mutex};
 
@@ -64,25 +64,25 @@ pub fn gemm_transposed(
 }
 
 /// Splits `n` output columns into at most `workers` contiguous ranges
-/// with block-aligned boundaries (so every range keeps the aligned fast
-/// path when the matrix width allows it). Returns a single range when
-/// the split would not pay for thread traffic.
+/// whose boundaries fall on [`PANEL_WIDTH`] panel edges (so every range
+/// covers whole panels). Returns a single range when the split would
+/// not pay for thread traffic.
 fn split_ranges(n: usize, workers: usize) -> Vec<(usize, usize)> {
-    let blocks = n.div_ceil(DEFAULT_BLOCK_SIZE);
-    let parts = workers.min(blocks).max(1);
+    let panels = n.div_ceil(PANEL_WIDTH);
+    let parts = workers.min(panels).max(1);
     if parts <= 1 {
         return vec![(0, n)];
     }
     let mut ranges = Vec::with_capacity(parts);
-    let mut start_block = 0;
+    let mut start_panel = 0;
     for w in 0..parts {
-        let end_block = blocks * (w + 1) / parts;
-        let c0 = start_block * DEFAULT_BLOCK_SIZE;
-        let c1 = (end_block * DEFAULT_BLOCK_SIZE).min(n);
+        let end_panel = panels * (w + 1) / parts;
+        let c0 = start_panel * PANEL_WIDTH;
+        let c1 = (end_panel * PANEL_WIDTH).min(n);
         if c1 > c0 {
             ranges.push((c0, c1));
         }
-        start_block = end_block;
+        start_panel = end_panel;
     }
     ranges
 }
@@ -182,7 +182,7 @@ mod tests {
             assert_eq!(ranges.last().unwrap().1, n);
             for pair in ranges.windows(2) {
                 assert_eq!(pair[0].1, pair[1].0);
-                assert_eq!(pair[0].1 % DEFAULT_BLOCK_SIZE, 0);
+                assert_eq!(pair[0].1 % PANEL_WIDTH, 0);
             }
         }
     }

@@ -10,10 +10,16 @@
 //! by the scheme's block size) × seeds, and additionally pins
 //! worker-count determinism: the data-parallel driver in
 //! `bbal_llm::gemm` must produce identical bits for 1 and N threads.
+//! Subnormal activations, queries and probabilities — where a
+//! power-of-two scale folded into the activation would lose bits — are
+//! pinned for the weight GEMMs and the packed attention kernels alike.
 //!
 //! Run with `PROPTEST_CASES=128` (CI does) for the full sweep.
 
-use bbal::core::{BlockScheme, LayoutKind, PackedBlock, PackedMatrix, SchemeSpec};
+use bbal::core::{
+    attn_dot_packed, attn_weighted_sum_packed, BlockScheme, LayoutKind, PackedBlock, PackedMatrix,
+    PackedRows, SchemeSpec,
+};
 use bbal::llm::Tensor;
 use bbal::quant::registry::{hooks_for, TABLE2_SCHEMES};
 use proptest::prelude::*;
@@ -34,9 +40,11 @@ fn xorshift(state: &mut u64) -> u64 {
 }
 
 /// Raw (pre-quantisation) weight values: exact multiples of 2⁻⁵ in
-/// [-4, 4], with exact zeros mixed in. Staying on a coarse power-of-two
-/// grid keeps every product far away from the subnormal range, where
-/// once-per-block scaling genuinely differs from per-element scaling.
+/// [-4, 4], with exact zeros mixed in. `PackedBlock::block_dot` scales
+/// once per block, which differs from per-element scaling only in the
+/// subnormal range, so its property stays on this coarse grid; the
+/// matrix and attention kernels are also driven with subnormal inputs
+/// below.
 fn raw_values(n: usize, seed: u64) -> Vec<f32> {
     let mut s = seed | 1;
     (0..n)
@@ -311,6 +319,56 @@ proptest! {
         bbal::llm::gemm::gemm_transposed(&pt, &xt, 2, workers, &mut pooled_t);
         assert_bits_eq(&pooled_t, &lone_t, "gemm_transposed workers")?;
     }
+
+    /// The register-tiled kernel against `Tensor::matmul` at every
+    /// row-tile remainder (`x_rows` 1..=9), partial panels (`n` below 32
+    /// and not a multiple of 32), and `gemm_cols` over a random column
+    /// partition whose cuts may or may not fall on panel edges. The
+    /// activations carry exact ±0.0 lanes and, with `tiny`, subnormals.
+    #[test]
+    fn panel_kernel_matches_scalar_for_every_tile_and_partition(
+        scheme in sweep_scheme(),
+        x_rows in 1usize..=9,
+        k in 1usize..50,
+        n in 1usize..100,
+        cuts in proptest::collection::vec(0usize..100, 0..4),
+        aligned in any::<bool>(),
+        tiny in any::<bool>(),
+        seed in any::<u64>(),
+    ) {
+        let w = quantised_weights(scheme, k * n, seed);
+        let mut x = activations(x_rows * k, seed.rotate_left(7));
+        if tiny {
+            for v in x.iter_mut().step_by(3) {
+                *v *= 1e-39;
+            }
+        }
+        let p = PackedMatrix::pack(&w, k, n, scheme);
+        let want = reference_matmul(&x, x_rows, &w, k, n);
+        let mut full = vec![f32::NAN; x_rows * n];
+        p.gemm(&x, x_rows, &mut full);
+        assert_bits_eq(&full, &want, "gemm")?;
+
+        let mut bounds: Vec<usize> = cuts
+            .iter()
+            .map(|&c| if aligned { c / 32 * 32 } else { c })
+            .filter(|&c| c > 0 && c < n)
+            .collect();
+        bounds.extend([0, n]);
+        bounds.sort_unstable();
+        bounds.dedup();
+        let mut split = vec![f32::NAN; x_rows * n];
+        for pair in bounds.windows(2) {
+            let (c0, c1) = (pair[0], pair[1]);
+            let mut strip = vec![f32::NAN; x_rows * (c1 - c0)];
+            p.gemm_cols(&x, x_rows, c0, c1, &mut strip);
+            for i in 0..x_rows {
+                split[i * n + c0..i * n + c1]
+                    .copy_from_slice(&strip[i * (c1 - c0)..(i + 1) * (c1 - c0)]);
+            }
+        }
+        assert_bits_eq(&split, &want, "gemm_cols partition")?;
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -346,4 +404,78 @@ fn fp32_dense_layout_is_the_identity() {
     let p = PackedMatrix::pack(&w, 5, 33, SchemeSpec::Fp32);
     assert_eq!(p.layout_kind(), LayoutKind::Dense);
     assert_eq!(p.decode(), w);
+}
+
+/// A quantised BBFP(4,2) 2×32 weight matrix and its packed form.
+fn bbfp_2x32() -> (Vec<f32>, PackedMatrix) {
+    let w = quantised_weights(SchemeSpec::Bbfp(4, 2), 64, 0x5B5);
+    let p = PackedMatrix::pack(&w, 2, 32, SchemeSpec::Bbfp(4, 2));
+    assert_eq!(p.layout_kind(), LayoutKind::Block);
+    (w, p)
+}
+
+/// Subnormal activations: folding a block scale `2^s` into `a` first
+/// (`fl(fl(a·2^s)·l)`) drops bits when `a·2^s` is subnormal; the panel
+/// kernels multiply `a` by the stored weight itself.
+#[test]
+fn subnormal_activations_keep_gemm_bit_identical() {
+    let (w, p) = bbfp_2x32();
+    for x in [[1e-40f32, 0.0], [3e-39, -2e-41]] {
+        let mut got = vec![f32::NAN; 32];
+        p.gemm(&x, 1, &mut got);
+        let want = reference_matmul(&x, 1, &w, 2, 32);
+        for (i, (g, wv)) in got.iter().zip(&want).enumerate() {
+            assert_eq!(g.to_bits(), wv.to_bits(), "x {x:?} index {i}");
+        }
+    }
+}
+
+#[test]
+fn subnormal_activations_keep_gemm_transposed_bit_identical() {
+    let (w, p) = bbfp_2x32();
+    let mut x = [0.0f32; 32];
+    x[0] = 1e-40;
+    x[5] = 3e-39;
+    x[31] = -2e-41;
+    let mut got = [f32::NAN; 2];
+    p.gemm_transposed(&x, 1, &mut got);
+    let want = reference_matmul_transposed(&x, 1, &w, 2, 32);
+    for (g, wv) in got.iter().zip(&want) {
+        assert_eq!(g.to_bits(), wv.to_bits());
+    }
+}
+
+/// The packed attention kernels against the dense QK and AV loops for
+/// queries and softmax probabilities small enough that `p·2^s` is
+/// subnormal.
+#[test]
+fn subnormal_queries_and_probabilities_keep_attention_bit_identical() {
+    let (w, _) = bbfp_2x32();
+    let mut rows = PackedRows::new(SchemeSpec::Bbfp(4, 2), 32);
+    rows.push_row(&w[..32]);
+    rows.push_row(&w[32..]);
+    assert_eq!(rows.layout_kind(), LayoutKind::Block);
+    for tiny in [1e-40f32, 3e-39] {
+        let q: Vec<f32> = (0..32).map(|d| tiny * (d as f32 - 15.5)).collect();
+        for j in 0..2 {
+            let mut want = 0.0f32;
+            for (d, qv) in q.iter().enumerate() {
+                want += qv * w[j * 32 + d];
+            }
+            let got = attn_dot_packed(&q, &rows, j, 0);
+            assert_eq!(got.to_bits(), want.to_bits(), "QK tiny {tiny} row {j}");
+        }
+        let probs = [tiny, 0.5 * tiny];
+        let mut want = vec![0.0f32; 32];
+        for (j, &pr) in probs.iter().enumerate() {
+            for (d, o) in want.iter_mut().enumerate() {
+                *o += pr * w[j * 32 + d];
+            }
+        }
+        let mut got = vec![0.0f32; 32];
+        attn_weighted_sum_packed(&probs, &rows, 0, &mut got);
+        for (d, (g, wv)) in got.iter().zip(&want).enumerate() {
+            assert_eq!(g.to_bits(), wv.to_bits(), "AV tiny {tiny} column {d}");
+        }
+    }
 }
