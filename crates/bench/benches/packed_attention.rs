@@ -5,8 +5,9 @@
 //! a decode step streaming a warm cache and a prefill chunk's worth of
 //! score rows.
 //!
-//! The packed kernels decode block-compressed K/V rows on the fly, so
-//! these groups measure the compute cost of the 2–6× KV memory saving
+//! Packed pages hold their rows as f32 and are only *charged* the
+//! block layout's bits, so these groups measure what the 2–6× KV charge
+//! saving costs in host compute: the `PackedRows` indirection per row
 //! (the bit-identity itself is pinned by the `kv_packed` battery in
 //! `bbal-serve`).
 

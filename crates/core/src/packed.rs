@@ -1,8 +1,8 @@
 //! Packed quantised matrix storage and its GEMM kernels.
 //!
 //! [`crate::bitpack`] defines the bit-exact storage layout of a single
-//! block; this module promotes it to the *storage format* of whole
-//! matrices. Each block is one shared scale field (5-bit exponent for
+//! block; this module promotes it to the *memory charge* of whole
+//! tensors. Each block is one shared scale field (5-bit exponent for
 //! BFP/BBFP, 8-bit for MX/MSFP, a signed bias for block minifloat), any
 //! per-sub-block offset codes, then the packed element payloads
 //! (`sign|mantissa`, `sign|flag|mantissa`, or `sign|exp|mantissa`), with
@@ -17,11 +17,20 @@
 //!   weight[j] = lane[j] × 2^(scale-exponent(b))
 //! ```
 //!
-//! A [`PackedMatrix`] keeps two things: those bits (or FP16 bits, or
-//! nothing for the dense fallback) as its authoritative storage, and
-//! **one** kernel operand — the decoded weights as f32, laid out k-major
-//! in [`PANEL_WIDTH`]-column panels. A decode-step GEMV streams each
-//! panel front to back, in the order its multiply-accumulates use the
+//! [`PackedBlock`] writes and reads those bits: it is the Table I
+//! conformance codec and the test oracle. The whole-tensor stores —
+//! [`PackedMatrix`] (weights) and [`PackedRows`] (KV pages) — hold **one**
+//! copy of their values, as f32, and a verified layout tag. Packing runs
+//! every chunk through the codec's encode → decode check; when all
+//! chunks reproduce the input bit-for-bit the tensor is charged the
+//! format's bits (`chunk_bits` per chunk, ragged tail included), and
+//! otherwise it is charged as dense f32. The bits themselves are never
+//! stored: the simulated accelerator reads them, the host only counts
+//! them.
+//!
+//! A [`PackedMatrix`] lays its values out k-major in
+//! [`PANEL_WIDTH`]-column panels. A decode-step GEMV streams each panel
+//! front to back, in the order its multiply-accumulates use the
 //! weights, while the accumulators of the panel's columns stay in
 //! registers.
 //!
@@ -29,28 +38,20 @@
 //!
 //! The [`PackedMatrix`] kernels do exactly the arithmetic of the scalar
 //! f32 reference (`Tensor::matmul` / `Tensor::matmul_transposed` over
-//! the decoded weights), so they are **bit-identical for every input**:
-//!
-//! * decoding is exact: packing verifies that the bits decode to the
-//!   input bit-for-bit and falls back to dense f32 otherwise, so the
-//!   panels hold the stored weights themselves;
-//! * every output element sees the same `acc += a·w` in ascending `k`
-//!   (ascending column for the transposed kernel), starting from `+0`,
-//!   with the reference's `a == 0.0` skip.
-//!
-//! [`PackedRows`] (KV pages) keeps a mantissa lane plus one power-of-two
-//! scale per block. Its attention kernels form `lane × 2^s` — exact,
-//! because that is the stored value — before each product, so they are
-//! bit-identical for every input as well. Only
+//! the stored weights), so they are **bit-identical for every input**:
+//! every output element sees the same `acc += a·w` in ascending `k`
+//! (ascending column for the transposed kernel), starting from `+0`,
+//! with the reference's `a == 0.0` skip. The [`PackedRows`] attention
+//! kernels are the dense QK^T and AV loops over the stored rows. Only
 //! [`PackedBlock::block_dot`] relies on power-of-two scaling commuting
 //! with rounding: it sums `a·lane` and applies the shared-exponent scale
 //! once at the end, which matches the per-element reference unless an
 //! intermediate is subnormal or infinite.
 //!
 //! Schemes whose scales are *not* powers of two (olive, oltron,
-//! omniquant, int) have no block layout; [`PackedMatrix::pack`] stores
-//! them dense ([`LayoutKind::Dense`]), and FP16 keeps its raw bits
-//! ([`LayoutKind::Fp16`]).
+//! omniquant, int) have no block layout; [`PackedMatrix::pack`] charges
+//! them dense ([`LayoutKind::Dense`]), and exact FP16 weights 16 bits
+//! each ([`LayoutKind::Fp16`]).
 
 use crate::algebra::{self, AlgChunk, ElementKind, FormatAlgebra, ScaleKind};
 use crate::bfp::exp2i;
@@ -164,8 +165,9 @@ fn encode_chunk(values: &[f32], alg: &FormatAlgebra) -> AlgChunk {
 /// One block (up to `block_size` values) stored in its packed bit
 /// layout: 5-bit shared exponent, then the per-element payloads.
 ///
-/// This is the single-block face of the packed storage format — the
-/// proptest battery drives it directly. [`PackedBlock::block_dot`] is
+/// This is the bit-exact conformance codec of the packed format (Table
+/// I) and the oracle the whole-tensor bit counts are tested against —
+/// the proptest battery drives it directly. [`PackedBlock::block_dot`] is
 /// the paper-shaped kernel: mantissa-integer products accumulate first,
 /// the shared-exponent scale applies once at the end.
 ///
@@ -287,7 +289,10 @@ impl PackedBlock {
     /// products straight off the packed bits and applies the
     /// shared-exponent scale **once**, after the loop. Bit-identical to
     /// the f32 reference `Σ fl(aⱼ·wⱼ)` accumulated in order (power-of-two
-    /// scaling commutes with every rounding in the sum).
+    /// scaling commutes with every rounding in the sum) — except when an
+    /// intermediate product or partial sum, scaled or unscaled, is
+    /// subnormal or infinite: there the deferred scale rounds
+    /// differently.
     ///
     /// # Panics
     ///
@@ -305,13 +310,13 @@ impl PackedBlock {
     }
 }
 
-/// Which storage layout a [`PackedMatrix`] ended up with.
+/// The verified layout a packed tensor is charged in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LayoutKind {
     /// Plain f32 — schemes without power-of-two block scales, or the
     /// verified fallback.
     Dense,
-    /// Raw IEEE binary16 bits.
+    /// IEEE binary16: every value is an exact FP16.
     Fp16,
     /// Native block layout: shared scale fields plus packed element
     /// payloads.
@@ -323,30 +328,14 @@ pub enum LayoutKind {
 /// their ranges to it, so every range covers whole panels.
 pub const PANEL_WIDTH: usize = 32;
 
-/// The authoritative storage of a [`PackedMatrix`]: what
-/// [`PackedMatrix::decode`] and [`PackedMatrix::packed_bits`] read.
-#[derive(Debug, Clone)]
-enum Store {
-    /// No separate storage: the decoded panels are the f32 values.
-    Dense,
-    /// IEEE binary16 bits, one per element, row-major.
-    Fp16 { bits: Vec<u16> },
-    /// The scheme's native block layout.
-    Block {
-        scheme: BlockScheme,
-        /// Packed bits of every block, concatenated with no padding.
-        bytes: Vec<u8>,
-        bit_len: usize,
-    },
-}
-
-/// A weight matrix stored in its quantisation scheme's packed layout,
-/// with GEMM kernels that are bit-identical to the scalar f32 reference
-/// path (see the module docs for the invariant and its proof sketch).
+/// A weight matrix verified against its quantisation scheme's packed
+/// layout and charged that layout's bits, with GEMM kernels that are
+/// bit-identical to the scalar f32 reference path (see the module docs
+/// for the invariant).
 ///
 /// Blocks run along the **flat row-major buffer** — the same geometry
 /// the slice quantisers use — so packing the output of
-/// `transform_weights` is the identity.
+/// `transform_weights` verifies as the block layout.
 ///
 /// ```
 /// use bbal_core::packed::{LayoutKind, PackedMatrix};
@@ -359,7 +348,8 @@ enum Store {
 ///
 /// let packed = PackedMatrix::pack(&q, 2, 32, SchemeSpec::Bbfp(4, 2));
 /// assert_eq!(packed.layout_kind(), LayoutKind::Block);
-/// assert_eq!(packed.decode(), q); // exact round trip from the bits
+/// assert_eq!(packed.decode(), q); // exact round trip
+/// assert_eq!(packed.packed_bits(), 2 * (5 + 32 * 6)); // Table I cost
 ///
 /// // x · W, bit-identical to the f32 reference.
 /// let x = vec![0.5f32, -1.0];
@@ -380,8 +370,10 @@ pub struct PackedMatrix {
     rows: usize,
     cols: usize,
     scheme: SchemeSpec,
-    store: Store,
-    /// The decoded weights, k-major in [`PANEL_WIDTH`]-column panels:
+    layout: LayoutKind,
+    /// Exact size of the verified layout in bits.
+    bits: usize,
+    /// The stored weights, k-major in [`PANEL_WIDTH`]-column panels:
     /// panel `p` covers columns `[32p, min(32p + 32, cols))` and holds
     /// them as a `rows × width` row-major block starting at
     /// `32p · rows`. The last panel is narrower when `cols` is not a
@@ -393,14 +385,16 @@ pub struct PackedMatrix {
 }
 
 impl PackedMatrix {
-    /// Packs an **already quantised** `rows × cols` row-major matrix
-    /// into `scheme`'s native layout.
+    /// Packs an **already quantised** `rows × cols` row-major matrix,
+    /// charging it `scheme`'s native layout.
     ///
-    /// BFP/BBFP schemes get the block layout, FP16 the binary16 layout;
-    /// every other scheme — and any input the block encoder cannot
-    /// reproduce bit-for-bit (e.g. values that did not come from this
-    /// scheme's quantiser) — falls back to dense f32, so the GEMM
-    /// bit-identity invariant holds unconditionally.
+    /// Block schemes (BFP, BBFP, MX, MSFP, block minifloat) get the
+    /// block layout and FP16 the binary16 layout when every value
+    /// verifies; every other scheme — and any input the block encoder
+    /// cannot reproduce bit-for-bit (e.g. values that did not come from
+    /// this scheme's quantiser) — is charged as dense f32. The stored
+    /// values are the input either way, so the GEMM bit-identity
+    /// invariant holds unconditionally.
     ///
     /// # Panics
     ///
@@ -408,10 +402,6 @@ impl PackedMatrix {
     pub fn pack(values: &[f32], rows: usize, cols: usize, scheme: SchemeSpec) -> PackedMatrix {
         assert!(rows > 0 && cols > 0, "degenerate matrix {rows}x{cols}");
         assert_eq!(values.len(), rows * cols, "data length mismatch");
-        // Every layout stores exactly `values` (verified below), so the
-        // panels are a reordering of the input. They are allocated before
-        // the packer's growing bit buffer, whose reallocations then stay
-        // above this long-lived block on the heap.
         let mut panels = Vec::with_capacity(values.len());
         for c0 in (0..cols).step_by(PANEL_WIDTH) {
             let c1 = cols.min(c0 + PANEL_WIDTH);
@@ -419,23 +409,20 @@ impl PackedMatrix {
                 panels.extend_from_slice(&row[c0..c1]);
             }
         }
-        let store = match scheme {
-            SchemeSpec::Fp16 => pack_fp16(values),
-            SchemeSpec::Bfp(_)
-            | SchemeSpec::Bbfp(_, _)
-            | SchemeSpec::Mx(..)
-            | SchemeSpec::Msfp(..)
-            | SchemeSpec::BlockMf(..) => {
-                BlockScheme::from_scheme(scheme).and_then(|bs| pack_blocks(values, bs))
+        let block = BlockScheme::from_scheme(scheme).and_then(|bs| block_bits(values, bs));
+        let (layout, bits) = match block {
+            Some(bits) => (LayoutKind::Block, bits),
+            None if scheme == SchemeSpec::Fp16 && values.iter().all(|&v| is_exact_fp16(v)) => {
+                (LayoutKind::Fp16, values.len() * 16)
             }
-            _ => None,
-        }
-        .unwrap_or(Store::Dense);
+            None => (LayoutKind::Dense, values.len() * 32),
+        };
         PackedMatrix {
             rows,
             cols,
             scheme,
-            store,
+            layout,
+            bits,
             panels,
             finite: values.iter().all(|v| v.is_finite()),
         }
@@ -456,59 +443,33 @@ impl PackedMatrix {
         self.scheme
     }
 
-    /// Which layout the matrix ended up in.
+    /// Which layout the matrix is charged in.
     pub fn layout_kind(&self) -> LayoutKind {
-        match &self.store {
-            Store::Dense => LayoutKind::Dense,
-            Store::Fp16 { .. } => LayoutKind::Fp16,
-            Store::Block { .. } => LayoutKind::Block,
-        }
+        self.layout
     }
 
-    /// Exact storage size of the packed representation in bits
-    /// (`rows·cols·32` for the dense fallback — the honesty metric the
-    /// memory-density tests pin).
+    /// Exact size of the packed representation in bits (`rows·cols·32`
+    /// for the dense fallback — the honesty metric the memory-density
+    /// tests pin).
     pub fn packed_bits(&self) -> usize {
-        match &self.store {
-            Store::Dense => self.panels.len() * 32,
-            Store::Fp16 { bits } => bits.len() * 16,
-            Store::Block { bit_len, .. } => *bit_len,
-        }
+        self.bits
     }
 
-    /// Decodes the authoritative storage back to the full row-major f32
-    /// matrix — for the FP16 and block layouts that means reading the
-    /// stored bits, not the kernel panels.
+    /// The stored weights as the full row-major f32 matrix — the packed
+    /// input, bit for bit.
     pub fn decode(&self) -> Vec<f32> {
-        match &self.store {
-            Store::Dense => {
-                let mut out = vec![0.0; self.panels.len()];
-                for (p, panel) in self.panels.chunks(PANEL_WIDTH * self.rows).enumerate() {
-                    let c0 = p * PANEL_WIDTH;
-                    let width = panel.len() / self.rows;
-                    for (row, src) in out
-                        .chunks_exact_mut(self.cols)
-                        .zip(panel.chunks_exact(width))
-                    {
-                        row[c0..c0 + width].copy_from_slice(src);
-                    }
-                }
-                out
-            }
-            Store::Fp16 { bits } => bits.iter().map(|&b| Fp16::from_bits(b).to_f32()).collect(),
-            Store::Block { scheme, bytes, .. } => {
-                let alg = scheme.algebra_form();
-                let n = self.rows * self.cols;
-                let mut out = Vec::with_capacity(n);
-                let mut r = BitReader::new(bytes);
-                while out.len() < n {
-                    let len = alg.block_size.min(n - out.len());
-                    let chunk = algebra::read_chunk(&mut r, len, &alg);
-                    out.extend((0..len).map(|i| chunk.decode_value(i, &alg)));
-                }
-                out
+        let mut out = vec![0.0; self.panels.len()];
+        for (p, panel) in self.panels.chunks(PANEL_WIDTH * self.rows).enumerate() {
+            let c0 = p * PANEL_WIDTH;
+            let width = panel.len() / self.rows;
+            for (row, src) in out
+                .chunks_exact_mut(self.cols)
+                .zip(panel.chunks_exact(width))
+            {
+                row[c0..c0 + width].copy_from_slice(src);
             }
         }
+        out
     }
 
     /// `x · W` for row-major `x` of shape `x_rows × self.rows`, writing
@@ -694,27 +655,36 @@ fn store_strip<const R: usize, const V: usize, const L: usize>(
     }
 }
 
-/// Packs FP16 bits; `None` if any value is not an exact binary16 (then
-/// the dense fallback keeps bit-identity).
-fn pack_fp16(values: &[f32]) -> Option<Store> {
-    let bits = values
-        .iter()
-        .map(|&v| {
-            let h = Fp16::from_f32_saturating(v);
-            (h.to_f32().to_bits() == v.to_bits()).then(|| h.to_bits())
-        })
-        .collect::<Option<Vec<u16>>>()?;
-    Some(Store::Fp16 { bits })
+/// True when `v` is exactly an IEEE binary16 value.
+fn is_exact_fp16(v: f32) -> bool {
+    Fp16::from_f32_saturating(v).to_f32().to_bits() == v.to_bits()
 }
 
-/// Packs the block layout over the flat buffer; `None` if any block
-/// fails the bit-exact round-trip check.
-fn pack_blocks(values: &[f32], scheme: BlockScheme) -> Option<Store> {
+/// Bits one packed chunk of `len` elements occupies under `alg`.
+fn chunk_bits(alg: &FormatAlgebra, len: usize) -> usize {
+    let scale_bits = match alg.scale {
+        ScaleKind::SharedExponent { bits } | ScaleKind::SharedBias { bits } => bits as usize,
+        ScaleKind::TwoLevel {
+            bits,
+            sub_block,
+            sub_scale_bits,
+        } => bits as usize + len.div_ceil(sub_block) * sub_scale_bits as usize,
+    };
+    scale_bits + len * alg.payload_bits_per_element() as usize
+}
+
+/// Verifies `values` against `scheme`'s block layout over the flat
+/// buffer and counts its bits: every chunk (the ragged tail included)
+/// must encode and decode back to its input bit-for-bit, and then the
+/// total is `Σ chunk_bits`. `None` if any chunk fails — the one
+/// verify-and-count routine behind [`PackedMatrix::pack`] and
+/// [`PackedRows::push_row`].
+fn block_bits(values: &[f32], scheme: BlockScheme) -> Option<usize> {
     let alg = scheme.algebra_form();
     if !alg.packable() {
         return None;
     }
-    let mut w = BitWriter::new();
+    let mut bits = 0;
     for chunk in values.chunks(alg.block_size) {
         if chunk.iter().any(|v| !v.is_finite()) {
             return None;
@@ -725,88 +695,27 @@ fn pack_blocks(values: &[f32], scheme: BlockScheme) -> Option<Store> {
                 return None;
             }
         }
-        algebra::write_chunk(&mut w, &encoded, &alg);
+        bits += chunk_bits(&alg, chunk.len());
     }
-    let bit_len = w.bit_len();
-    Some(Store::Block {
-        scheme,
-        bytes: w.into_bytes(),
-        bit_len,
-    })
+    Some(bits)
 }
 
-/// Sequential dot product (the transposed-GEMM reference order).
-fn dot_plain(x_row: &[f32], w_row: &[f32]) -> f32 {
-    let mut acc = 0.0f32;
-    for (x, y) in x_row.iter().zip(w_row) {
-        acc += x * y;
-    }
-    acc
+/// The block layout rows of `width` columns take under `scheme`: the
+/// scheme's, when it has one and `width` is a whole number of blocks.
+fn rows_block(scheme: SchemeSpec, width: usize) -> Option<BlockScheme> {
+    BlockScheme::from_scheme(scheme).filter(|bs| width > 0 && width.is_multiple_of(bs.block_size()))
 }
 
-/// Sequential dot against a block lane when the span starts on a block
-/// boundary and covers whole blocks: no per-segment flat-index division,
-/// and exact-size chunks the compiler can keep in registers. Each
-/// product is `x · (l·2^s)`, and `l·2^s` is the stored value exactly, so
-/// the result is bit-identical to [`dot_plain`] over the stored values.
-fn dot_scaled_aligned(x_row: &[f32], w_row: &[f32], scale: &[f32], group: usize) -> f32 {
-    let mut acc = 0.0f32;
-    for (bi, (xc, wc)) in x_row
-        .chunks_exact(group)
-        .zip(w_row.chunks_exact(group))
-        .enumerate()
-    {
-        let s = scale[bi];
-        for (x, w) in xc.iter().zip(wc) {
-            acc += x * (w * s);
+/// Bits `rows` rows of `width` columns occupy: whole blocks of `block`,
+/// or dense f32 when there is no block layout.
+fn rows_bits(block: Option<BlockScheme>, width: usize, rows: usize) -> usize {
+    match block {
+        Some(bs) => {
+            let n = bs.block_size();
+            rows * (width / n) * chunk_bits(&bs.algebra_form(), n)
         }
+        None => rows * width * 32,
     }
-    acc
-}
-
-/// Sequential dot against a block lane for any span: walks the flat
-/// blocks the span crosses, forming each product as `x · (l·2^s)` (the
-/// stored value, exactly) in the reference order.
-fn dot_scaled(x_row: &[f32], w_row: &[f32], scale: &[f32], group: usize, flat0: usize) -> f32 {
-    let mut acc = 0.0f32;
-    let n = x_row.len();
-    let mut j = 0;
-    while j < n {
-        let flat = flat0 + j;
-        let block = flat / group;
-        let seg_end = n.min(j + (group - flat % group));
-        let s = scale[block];
-        for jj in j..seg_end {
-            acc += x_row[jj] * (w_row[jj] * s);
-        }
-        j = seg_end;
-    }
-    acc
-}
-
-/// The storage layout of a [`PackedRows`] buffer.
-#[derive(Debug, Clone)]
-enum RowsLayout {
-    /// Plain f32 rows — non-block schemes, widths that are not whole
-    /// blocks, or the verified fallback after a row the block encoder
-    /// could not reproduce bit-for-bit.
-    Dense { lane: Vec<f32> },
-    /// Scheme-native block layout. Because the row width is a whole
-    /// number of blocks, every row starts block-aligned and blocks
-    /// never straddle rows.
-    Block {
-        scheme: BlockScheme,
-        /// Packed bits of every chunk, appended row by row.
-        writer: BitWriter,
-        /// Effective lane values (flags, micro-exponents folded), one
-        /// per element, row-major.
-        lane: Vec<f32>,
-        /// One power-of-two scale per `group`-element block of the flat
-        /// row-major buffer.
-        scale: Vec<f32>,
-        /// The scheme's block size — the stride of `scale`.
-        group: usize,
-    },
 }
 
 /// A row-append packed buffer: the storage format of KV-cache pages and
@@ -815,21 +724,15 @@ enum RowsLayout {
 /// Where [`PackedMatrix`] packs a complete matrix once (weights, known
 /// at prepare time), `PackedRows` grows one row at a time — the shape
 /// of a KV cache, which appends one key/value row per token per layer.
-/// Rows are encoded into the scheme's block layout on append
-/// ([`PackedRows::push_row`]), with the same self-verification as
-/// [`PackedMatrix::pack`]: any row the encoder cannot reproduce
-/// bit-for-bit demotes the *whole buffer* to a dense f32 lane
-/// (reconstructed exactly from the already-verified rows), so reads are
-/// always bit-identical to the rows that were pushed, for every scheme
-/// and every input.
+/// Each appended row is stored as f32 and verified against the scheme's
+/// block layout ([`PackedRows::push_row`]), with the same check as
+/// [`PackedMatrix::pack`]: a row the encoder cannot reproduce
+/// bit-for-bit demotes the *whole buffer* to the dense f32 charge. Reads
+/// are the pushed rows themselves, for every scheme and every input.
 ///
 /// The attention kernels ([`attn_dot_packed`],
-/// [`attn_weighted_sum_packed`]) read head-column slices of the rows
-/// straight off the mantissa lane + block scales, forming each stored
-/// value as `lane × 2^scale` (exact: it is the value that was pushed)
-/// before the product — so QK^T and AV over a packed buffer are
-/// bit-identical to the dense f32 loops they replace, for every query
-/// and probability.
+/// [`attn_weighted_sum_packed`]) are the dense QK^T and AV loops over
+/// head-column slices of the stored rows.
 ///
 /// ```
 /// use bbal_core::packed::{LayoutKind, PackedRows};
@@ -852,7 +755,11 @@ enum RowsLayout {
 pub struct PackedRows {
     width: usize,
     rows: usize,
-    layout: RowsLayout,
+    /// The block layout every row so far verified against; `None` for
+    /// dense f32 (no block layout, or demoted).
+    block: Option<BlockScheme>,
+    /// The pushed rows, row-major.
+    values: Vec<f32>,
 }
 
 impl Default for PackedRows {
@@ -864,24 +771,15 @@ impl Default for PackedRows {
 }
 
 impl PackedRows {
-    /// An empty buffer whose rows are `width` columns wide, stored in
+    /// An empty buffer whose rows are `width` columns wide, charged in
     /// `scheme`'s block layout when the scheme has one and `width` is a
     /// whole number of blocks, else as dense f32.
     pub fn new(scheme: SchemeSpec, width: usize) -> PackedRows {
-        let layout = match BlockScheme::from_scheme(scheme) {
-            Some(bs) if width > 0 && width.is_multiple_of(bs.block_size()) => RowsLayout::Block {
-                scheme: bs,
-                writer: BitWriter::new(),
-                lane: Vec::new(),
-                scale: Vec::new(),
-                group: bs.block_size(),
-            },
-            _ => RowsLayout::Dense { lane: Vec::new() },
-        };
         PackedRows {
             width,
             rows: 0,
-            layout,
+            block: rows_block(scheme, width),
+            values: Vec::new(),
         }
     }
 
@@ -900,22 +798,19 @@ impl PackedRows {
         self.rows == 0
     }
 
-    /// Which layout the buffer currently holds ([`LayoutKind::Fp16`]
-    /// never occurs here).
+    /// Which layout the buffer is currently charged in
+    /// ([`LayoutKind::Fp16`] never occurs here).
     pub fn layout_kind(&self) -> LayoutKind {
-        match &self.layout {
-            RowsLayout::Dense { .. } => LayoutKind::Dense,
-            RowsLayout::Block { .. } => LayoutKind::Block,
+        match self.block {
+            Some(_) => LayoutKind::Block,
+            None => LayoutKind::Dense,
         }
     }
 
-    /// Exact storage size of the current contents in bits
-    /// (`rows·width·32` after a dense demotion — the honesty metric).
+    /// Exact size of the current contents in bits (`rows·width·32`
+    /// after a dense demotion — the honesty metric).
     pub fn packed_bits(&self) -> usize {
-        match &self.layout {
-            RowsLayout::Dense { lane } => lane.len() * 32,
-            RowsLayout::Block { writer, .. } => writer.bit_len(),
-        }
+        rows_bits(self.block, self.width, self.rows)
     }
 
     /// [`PackedRows::packed_bits`] rounded up to whole bytes.
@@ -926,19 +821,7 @@ impl PackedRows {
     /// Drops every row, keeping the scheme/width configuration.
     pub fn clear(&mut self) {
         self.rows = 0;
-        match &mut self.layout {
-            RowsLayout::Dense { lane } => lane.clear(),
-            RowsLayout::Block {
-                writer,
-                lane,
-                scale,
-                ..
-            } => {
-                *writer = BitWriter::new();
-                lane.clear();
-                scale.clear();
-            }
-        }
+        self.values.clear();
     }
 
     /// Drops every row *and* reconfigures the buffer for a (possibly
@@ -948,13 +831,12 @@ impl PackedRows {
         *self = PackedRows::new(scheme, width);
     }
 
-    /// Appends one row, encoding it into the block layout when possible.
+    /// Appends one row, verifying it against the block layout.
     ///
     /// A row that is not exactly representable in the scheme (it did not
     /// come from this scheme's quantiser, or contains non-finite values)
-    /// demotes the whole buffer to the dense layout; previously encoded
-    /// rows are reconstructed exactly (`lane × 2^scale` is the stored
-    /// value), so the buffer's contents always equal the pushed rows
+    /// demotes the whole buffer to the dense charge; the stored rows are
+    /// unchanged, so the buffer's contents always equal the pushed rows
     /// bit-for-bit.
     ///
     /// # Panics
@@ -962,112 +844,25 @@ impl PackedRows {
     /// Panics if `row.len() != self.width()`.
     pub fn push_row(&mut self, row: &[f32]) {
         assert_eq!(row.len(), self.width, "row width mismatch");
+        if let Some(bs) = self.block {
+            if block_bits(row, bs).is_none() {
+                self.block = None;
+            }
+        }
+        self.values.extend_from_slice(row);
         self.rows += 1;
-        match &mut self.layout {
-            RowsLayout::Dense { lane } => {
-                lane.extend_from_slice(row);
-                return;
-            }
-            RowsLayout::Block {
-                scheme,
-                writer,
-                lane,
-                scale,
-                group,
-            } => {
-                let alg = scheme.algebra_form();
-                if let Some((row_lane, chunks)) = encode_row(row, &alg, *group) {
-                    lane.extend_from_slice(&row_lane);
-                    for c in &chunks {
-                        scale.push(exp2i(c.scale_exponent(&alg)));
-                        algebra::write_chunk(writer, c, &alg);
-                    }
-                    return;
-                }
-            }
-        }
-        // The row is not representable in the block layout: demote the
-        // buffer to dense (exact) and append the row as raw f32.
-        self.demote();
-        if let RowsLayout::Dense { lane } = &mut self.layout {
-            lane.extend_from_slice(row);
-        }
-    }
-
-    /// Rebuilds the dense layout from the block layout — exact, because
-    /// every stored value *is* `lane × 2^scale` (a representable f32).
-    fn demote(&mut self) {
-        if let RowsLayout::Block {
-            lane, scale, group, ..
-        } = &self.layout
-        {
-            let dense: Vec<f32> = lane
-                .iter()
-                .enumerate()
-                .map(|(i, &l)| l * scale[i / *group])
-                .collect();
-            self.layout = RowsLayout::Dense { lane: dense };
-        }
-    }
-
-    /// The stored value at `(row, col)` — bit-identical to what was
-    /// pushed.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the position is out of range.
-    pub fn get(&self, row: usize, col: usize) -> f32 {
-        assert!(row < self.rows && col < self.width, "position out of range");
-        let flat = row * self.width + col;
-        match &self.layout {
-            RowsLayout::Dense { lane } => lane[flat],
-            RowsLayout::Block {
-                lane, scale, group, ..
-            } => lane[flat] * scale[flat / group],
-        }
     }
 
     /// All rows as a flat dense f32 buffer — bit-identical to the rows
     /// that were pushed.
     pub fn to_dense(&self) -> Vec<f32> {
-        match &self.layout {
-            RowsLayout::Dense { lane } => lane.clone(),
-            RowsLayout::Block {
-                lane, scale, group, ..
-            } => lane
-                .iter()
-                .enumerate()
-                .map(|(i, &l)| l * scale[i / *group])
-                .collect(),
-        }
+        self.values.clone()
     }
-}
-
-/// Encodes one whole-block row into (lane values, chunks); `None` if
-/// any chunk fails the bit-exact round trip (the caller demotes).
-fn encode_row(row: &[f32], alg: &FormatAlgebra, group: usize) -> Option<(Vec<f32>, Vec<AlgChunk>)> {
-    let mut lane = Vec::with_capacity(row.len());
-    let mut chunks = Vec::with_capacity(row.len() / group);
-    for chunk_vals in row.chunks(group) {
-        if chunk_vals.iter().any(|v| !v.is_finite()) {
-            return None;
-        }
-        let encoded = encode_chunk(chunk_vals, alg);
-        for (i, v) in chunk_vals.iter().enumerate() {
-            if encoded.decode_value(i, alg).to_bits() != v.to_bits() {
-                return None;
-            }
-            lane.push(encoded.lane_value(i, alg));
-        }
-        chunks.push(encoded);
-    }
-    Some((lane, chunks))
 }
 
 /// `q · K[j, c0..c0+q.len()]` over a packed row buffer: the QK^T inner
-/// product of one attention head against one cached key row.
-/// Bit-identical to the dense f32 dot in ascending-column order: each
-/// product is `q · (l·2^s)`, and `l·2^s` is the stored key exactly.
+/// product of one attention head against one cached key row, in
+/// ascending-column order.
 ///
 /// # Panics
 ///
@@ -1079,26 +874,16 @@ pub fn attn_dot_packed(q: &[f32], rows: &PackedRows, j: usize, c0: usize) -> f32
         "attention span out of range"
     );
     let flat0 = j * rows.width + c0;
-    match &rows.layout {
-        RowsLayout::Dense { lane } => dot_plain(q, &lane[flat0..flat0 + dh]),
-        RowsLayout::Block {
-            lane, scale, group, ..
-        } => {
-            let k_row = &lane[flat0..flat0 + dh];
-            if c0.is_multiple_of(*group) && dh.is_multiple_of(*group) {
-                dot_scaled_aligned(q, k_row, &scale[flat0 / *group..], *group)
-            } else {
-                dot_scaled(q, k_row, scale, *group, flat0)
-            }
-        }
+    let mut acc = 0.0f32;
+    for (a, k) in q.iter().zip(&rows.values[flat0..flat0 + dh]) {
+        acc += a * k;
     }
+    acc
 }
 
 /// `out[d] += probs[j] · V[j, c0+d]` for every row `j` in ascending
 /// order: the AV accumulation of one attention head over a packed row
-/// buffer, bit-identical to the dense f32 loop (per output element the
-/// `+=`s arrive in the same order, and each product is `p · (l·2^s)`,
-/// where `l·2^s` is the stored value exactly).
+/// buffer.
 ///
 /// # Panics
 ///
@@ -1109,65 +894,22 @@ pub fn attn_weighted_sum_packed(probs: &[f32], rows: &PackedRows, c0: usize, out
         probs.len() <= rows.rows && c0 + dh <= rows.width,
         "attention span out of range"
     );
-    match &rows.layout {
-        RowsLayout::Dense { lane } => {
-            for (j, &p) in probs.iter().enumerate() {
-                let flat0 = j * rows.width + c0;
-                let v_row = &lane[flat0..flat0 + dh];
-                for (o, &vv) in out.iter_mut().zip(v_row) {
-                    *o += p * vv;
-                }
-            }
-        }
-        RowsLayout::Block {
-            lane, scale, group, ..
-        } => {
-            for (j, &p) in probs.iter().enumerate() {
-                let flat0 = j * rows.width + c0;
-                let mut d = 0;
-                while d < dh {
-                    let flat = flat0 + d;
-                    let block = flat / group;
-                    let seg_end = dh.min(d + (group - flat % group));
-                    let s = scale[block];
-                    for dd in d..seg_end {
-                        out[dd] += p * (lane[flat0 + dd] * s);
-                    }
-                    d = seg_end;
-                }
-            }
+    for (j, &p) in probs.iter().enumerate() {
+        let flat0 = j * rows.width + c0;
+        for (o, &v) in out.iter_mut().zip(&rows.values[flat0..flat0 + dh]) {
+            *o += p * v;
         }
     }
-}
-
-/// Bits one packed chunk of `len` elements occupies under `alg`.
-fn chunk_bits(alg: &FormatAlgebra, len: usize) -> usize {
-    let scale_bits = match alg.scale {
-        ScaleKind::SharedExponent { bits } | ScaleKind::SharedBias { bits } => bits as usize,
-        ScaleKind::TwoLevel {
-            bits,
-            sub_block,
-            sub_scale_bits,
-        } => bits as usize + len.div_ceil(sub_block) * sub_scale_bits as usize,
-    };
-    scale_bits + len * alg.payload_bits_per_element() as usize
 }
 
 /// Exact storage capacity, in bytes, of `rows` packed rows of `width`
 /// columns under `scheme` — dense f32 bytes when the scheme has no
 /// block layout or `width` is not a whole number of blocks. This is the
 /// single source of truth KV arenas and serving schedulers size page
-/// byte budgets by: a full [`PackedRows`] buffer of quantised rows
-/// occupies exactly this many bytes.
+/// byte budgets by: a full [`PackedRows`] buffer of quantised rows is
+/// charged exactly this many bytes.
 pub fn packed_rows_capacity_bytes(scheme: SchemeSpec, width: usize, rows: usize) -> usize {
-    let bits = match BlockScheme::from_scheme(scheme) {
-        Some(bs) if width > 0 && width.is_multiple_of(bs.block_size()) => {
-            let alg = bs.algebra_form();
-            rows * (width / bs.block_size()) * chunk_bits(&alg, bs.block_size())
-        }
-        _ => rows * width * 32,
-    };
-    bits.div_ceil(8)
+    rows_bits(rows_block(scheme, width), width, rows).div_ceil(8)
 }
 
 #[cfg(test)]
@@ -1432,36 +1174,6 @@ mod tests {
     }
 
     #[test]
-    fn attn_aligned_fast_path_is_bit_identical_to_segment_walk() {
-        // The aligned key dot must agree bit-for-bit with the generic
-        // segment walk it bypasses, on every block scheme.
-        for scheme in [
-            SchemeSpec::Bbfp(4, 2),
-            SchemeSpec::Bfp(6),
-            SchemeSpec::Mx(8, 4, 2),
-            SchemeSpec::Msfp(4, 16),
-            SchemeSpec::BlockMf(4, 3, 8),
-        ] {
-            let group = BlockScheme::from_scheme(scheme).unwrap().block_size();
-            let n = group * 3;
-            let mut rows = PackedRows::new(scheme, n);
-            for r in 0..4 {
-                rows.push_row(&quantised(scheme, n, 31 + r));
-            }
-            let RowsLayout::Block { lane, scale, .. } = &rows.layout else {
-                panic!("{scheme} rows should take the block layout");
-            };
-            let x = quantised(SchemeSpec::Fp16, n, 37);
-            for r in 0..4 {
-                let w_row = &lane[r * n..(r + 1) * n];
-                let fast = dot_scaled_aligned(&x, w_row, &scale[r * (n / group)..], group);
-                let slow = dot_scaled(&x, w_row, scale, group, r * n);
-                assert_eq!(fast.to_bits(), slow.to_bits(), "{scheme} row {r}");
-            }
-        }
-    }
-
-    #[test]
     fn packed_rows_round_trip_and_capacity() {
         let schemes = [
             SchemeSpec::Bfp(4),
@@ -1491,7 +1203,7 @@ mod tests {
                 .zip(&all)
                 .all(|(a, b)| a.to_bits() == b.to_bits());
             assert!(same, "{scheme} round trip");
-            assert_eq!(rows.get(3, 1).to_bits(), all[3 * width + 1].to_bits());
+            assert_eq!(dense[3 * width + 1].to_bits(), all[3 * width + 1].to_bits());
             // A full buffer of quantised rows occupies exactly its
             // capacity, and a block scheme stores ≤ 0.5× the f32 bytes.
             assert_eq!(
@@ -1508,13 +1220,40 @@ mod tests {
 
     #[test]
     fn packed_rows_capacity_matches_actual_bits() {
-        for scheme in [SchemeSpec::Bbfp(4, 2), SchemeSpec::Mx(8, 4, 2)] {
+        // The counted bits must equal what the codec actually writes:
+        // `Σ PackedBlock::encode(chunk).packed_bits()` over the flat
+        // buffer's chunks, ragged tails (and MX's ragged sub-block)
+        // included.
+        for scheme in [
+            SchemeSpec::Bfp(4),
+            SchemeSpec::Bbfp(4, 2),
+            SchemeSpec::Bbfp(6, 3),
+            SchemeSpec::Mx(8, 4, 2),
+            SchemeSpec::Msfp(4, 16),
+            SchemeSpec::BlockMf(4, 3, 8),
+        ] {
             let bs = BlockScheme::from_scheme(scheme).unwrap();
+            let codec_bits = |values: &[f32]| -> usize {
+                values
+                    .chunks(bs.block_size())
+                    .map(|c| PackedBlock::encode(c, bs).unwrap().packed_bits())
+                    .sum()
+            };
+            for (r, c) in [(1usize, 1usize), (3, 7), (5, 33), (7, 45)] {
+                let q = quantised(scheme, r * c, 7 + c as u64);
+                let p = PackedMatrix::pack(&q, r, c, scheme);
+                assert_eq!(p.layout_kind(), LayoutKind::Block, "{scheme} {r}x{c}");
+                assert_eq!(p.packed_bits(), codec_bits(&q), "{scheme} {r}x{c}");
+            }
             let width = bs.block_size();
             let mut rows = PackedRows::new(scheme, width);
+            let mut all = Vec::new();
             for r in 0..3 {
-                rows.push_row(&quantised(scheme, width, 7 + r));
+                let q = quantised(scheme, width, 7 + r);
+                rows.push_row(&q);
+                all.extend_from_slice(&q);
             }
+            assert_eq!(rows.packed_bits(), codec_bits(&all), "{scheme}");
             assert_eq!(
                 rows.packed_bits().div_ceil(8),
                 packed_rows_capacity_bytes(scheme, width, 3),
@@ -1538,7 +1277,7 @@ mod tests {
             .iter()
             .zip(&expect)
             .all(|(a, b)| a.to_bits() == b.to_bits());
-        assert!(same, "demotion must reconstruct prior rows exactly");
+        assert!(same, "demotion must keep prior rows exactly");
         assert_eq!(rows.packed_bits(), 2 * 32 * 32);
     }
 
@@ -1578,9 +1317,8 @@ mod tests {
 
     #[test]
     fn attn_kernels_match_dense_reference_aligned_and_ragged() {
-        // head_dim 16 against block-32 schemes exercises the ragged
-        // segment walk; block-16 MSFP and c0 multiples of 32 the aligned
-        // fast path.
+        // Head spans that start inside a block (head_dim 16 against
+        // block-32 schemes) and spans of whole blocks.
         for scheme in [
             SchemeSpec::Bfp(4),
             SchemeSpec::Bbfp(4, 2),

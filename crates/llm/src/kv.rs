@@ -98,13 +98,14 @@ impl std::error::Error for ArenaFull {}
 ///   produce the same rows). This **changes the numerics**
 ///   deterministically — it is the paper's compressed-KV operating
 ///   point, applied identically in prefill and decode.
-/// * `packed` stores the page buffers in `scheme`'s packed block layout
-///   ([`PackedRows`]) instead of dense f32. This **never changes the
-///   numerics**: packing self-verifies and the attention kernels are
-///   bit-identical to the dense loops, so `packed` on/off yields the
-///   same token streams at a fraction of the page bytes.
+/// * `packed` charges each page `scheme`'s packed block size instead of
+///   dense f32: every row is verified against the block layout
+///   ([`PackedRows`]) and the page is charged the format's bits. Resident
+///   storage is f32 either way, so this **never changes the numerics**:
+///   `packed` on/off yields the same token streams at a fraction of the
+///   charged page bytes.
 ///
-/// Packing without quantisation stores dense f32 (raw activations are
+/// Packing without quantisation charges dense f32 (raw activations are
 /// not representable in a block format), so the byte win requires both
 /// knobs; [`KvStore::storage_scheme`] encodes that rule.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -113,7 +114,7 @@ pub struct KvStore {
     pub scheme: SchemeSpec,
     /// Quantise each appended row through `scheme` before caching.
     pub quantize: bool,
-    /// Store pages in `scheme`'s packed block layout.
+    /// Charge pages `scheme`'s packed block size.
     pub packed: bool,
 }
 
@@ -127,9 +128,9 @@ impl KvStore {
         }
     }
 
-    /// The scheme pages are physically stored in: `scheme` when both
-    /// knobs are on (rows are quantised, so the block layout round-trips
-    /// exactly), dense f32 otherwise.
+    /// The scheme pages are charged in: `scheme` when both knobs are on
+    /// (rows are quantised, so they verify against the block layout),
+    /// dense f32 otherwise.
     pub fn storage_scheme(&self) -> SchemeSpec {
         if self.packed && self.quantize {
             self.scheme
@@ -185,9 +186,9 @@ impl Default for KvStore {
 }
 
 /// One page of KV storage: up to `page_tokens` key rows and value rows
-/// of one decoder layer, each held in a [`PackedRows`] buffer (dense
-/// f32 for the classic store, the scheme's block layout for a packed
-/// store). The row width is whatever the owning cache pushes (the
+/// of one decoder layer, each held in a [`PackedRows`] buffer (charged
+/// as dense f32 for the classic store, in the scheme's block layout for
+/// a packed store). The row width is whatever the owning cache pushes (the
 /// model's hidden width); the arena only recycles the backing buffers.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct PageBuf {

@@ -303,11 +303,11 @@ struct PackedWeights {
 /// A decoder-only transformer with synthetic weights.
 ///
 /// After PTQ ([`TransformerModel::with_transformed_weights`]) the
-/// decoder weights can additionally be *packed* into their scheme's
+/// decoder weights can additionally be *packed* against their scheme's
 /// native bit layout ([`TransformerModel::pack_weights`]); every weight
 /// GEMM in [`forward`](TransformerModel::forward) and
-/// [`prefill_chunk`](TransformerModel::prefill_chunk) then routes
-/// through the packed block-dot kernels — bit-identical to the scalar
+/// [`prefill_chunk`](TransformerModel::prefill_chunk) then runs the
+/// panel GEMM over the packed weights — bit-identical to the scalar
 /// path by the packed storage invariant (see `bbal_core::packed`).
 #[derive(Debug, Clone)]
 pub struct TransformerModel {
@@ -502,13 +502,13 @@ impl TransformerModel {
         clone
     }
 
-    /// Packs every decoder weight matrix into `scheme`'s native bit
+    /// Packs every decoder weight matrix against `scheme`'s native bit
     /// layout so subsequent GEMMs run on the packed kernels. Call after
     /// [`TransformerModel::with_transformed_weights`] with the scheme
     /// that produced the weights; any weight the layout cannot reproduce
-    /// bit-for-bit falls back to a dense lane, so outputs are identical
+    /// bit-for-bit is charged as dense f32, and outputs are identical
     /// either way. The unembedding stays full precision (as in PTQ) and
-    /// packs as an f32 lane.
+    /// packs as dense f32.
     pub fn pack_weights(&mut self, scheme: SchemeSpec) {
         let pack = |t: &Tensor| PackedMatrix::pack(t.data(), t.rows(), t.cols(), scheme);
         let layers = self
@@ -596,8 +596,8 @@ impl TransformerModel {
 
     /// An empty KV cache drawing from `arena` with an explicit KV
     /// [storage policy](KvStore): `store.quantize` passes K/V rows
-    /// through the scheme's quantiser, `store.packed` keeps the page
-    /// buffers in the scheme's packed block layout. Each arena page is
+    /// through the scheme's quantiser, `store.packed` charges the page
+    /// buffers the scheme's packed block size. Each arena page is
     /// charged [`KvStore::page_bytes`] against the arena's byte budget.
     pub fn kv_cache_with(&self, arena: &KvArena, store: KvStore) -> KvCache {
         KvCache {

@@ -97,7 +97,7 @@ pub struct ServeConfig {
     /// compressed-KV operating point; deterministic, chunking-invariant,
     /// but different numerics from the exact f32 cache). Default off.
     pub kv_quant: bool,
-    /// Store KV pages in each scheme's packed block layout. Never
+    /// Charge KV pages in each scheme's packed block layout. Never
     /// changes any output token; with `kv_quant` it shrinks every
     /// page's byte charge to the scheme's packed size. Default off.
     pub kv_packed: bool,

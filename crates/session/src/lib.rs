@@ -334,7 +334,7 @@ impl SessionBuilder {
         self
     }
 
-    /// Stores KV pages in the scheme's packed block layout instead of
+    /// Charges KV pages in the scheme's packed block layout instead of
     /// dense f32 — never changes a bit of any output, and (combined
     /// with [`SessionBuilder::kv_quant`]) shrinks every page's byte
     /// charge to the scheme's packed size. Default off.
